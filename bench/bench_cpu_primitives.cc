@@ -5,12 +5,18 @@
  * step, key switching, and full programmable bootstrapping. These are
  * the "Concrete-equivalent" numbers the CPU rows of the comparison
  * tables are grounded in.
+ *
+ * `--json` writes BENCH_cpu_primitives.json; the committed copy at the
+ * repository root was produced with
+ *   bench_cpu_primitives --json --benchmark_min_time=0.2 \
+ *     --benchmark_filter='BM_BlindRotateBatch|BM_Batch64|BM_WorkspaceBootstrap/0|BM_WorkspaceExternalProduct|BM_ParallelBatchBootstrap'
  */
 
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,6 +26,10 @@
 #include "tfhe/fft.h"
 #include "tfhe/fft_dispatch.h"
 #include "tfhe/workspace.h"
+
+#ifndef MORPHLING_BUILD_TYPE
+#define MORPHLING_BUILD_TYPE "unknown"
+#endif
 
 using namespace morphling;
 using namespace morphling::tfhe;
@@ -264,7 +274,54 @@ BENCHMARK(BM_ParallelBatchBootstrap)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.5);
+    ->MinTime(0.5)
+    ->UseRealTime(); // the workers run off the main thread's CPU clock
+
+/**
+ * BSK-stationary blind rotation of one group of G ciphertexts
+ * (blindRotateBatch; G = 1 is the single-ciphertext path). Items
+ * processed counts ciphertexts, so items/s compares directly across G:
+ * the G = 16 over G = 1 ratio is the lane-filling gain, a property of
+ * the code rather than of the host.
+ */
+void
+runBlindRotateBatch(benchmark::State &state, const std::string &set,
+                    unsigned group)
+{
+    const auto &keys = keysFor(set);
+    Rng rng(14);
+    const auto tp = constantTestPolynomial(keys.params.polyDegree,
+                                           doubleToTorus32(0.125));
+    std::vector<std::vector<std::uint32_t>> switched(group);
+    for (unsigned g = 0; g < group; ++g)
+        modSwitchInto(encryptBit(keys, g % 2 == 0, rng),
+                      keys.params.polyDegree, switched[g]);
+    std::vector<GlweCiphertext> accs(group);
+    BootstrapWorkspace ws;
+    for (auto _ : state) {
+        blindRotateBatch(keys.bsk, tp, switched, accs, ws);
+        benchmark::DoNotOptimize(accs.back().body()[0]);
+    }
+    state.SetItemsProcessed(state.iterations() * group);
+    state.SetLabel("set " + set + ", G=" + std::to_string(group));
+}
+
+void
+registerBlindRotateBatchBenchmarks()
+{
+    for (const char *set : {"TEST", "I"}) {
+        for (const unsigned group : {1u, 4u, 16u}) {
+            benchmark::RegisterBenchmark(
+                ("BM_BlindRotateBatch/" + std::string(set) + "/" +
+                 std::to_string(group))
+                    .c_str(),
+                [set, group](benchmark::State &s) {
+                    runBlindRotateBatch(s, set, group);
+                })
+                ->Unit(benchmark::kMillisecond);
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // SIMD kernel tiers: the benchmarks below are registered once per tier
@@ -437,18 +494,23 @@ main(int argc, char **argv)
         args.push_back(fmt_flag.data());
     }
 
+    registerBlindRotateBatchBenchmarks();
     registerDispatchTierBenchmarks();
 
     int count = static_cast<int>(args.size());
     benchmark::Initialize(&count, args.data());
     if (benchmark::ReportUnrecognizedArguments(count, args.data()))
         return 1;
-    // Stamp the report with the auto-selected tier so JSON consumers
-    // know which kernels produced the untiered rows.
+    // Stamp the report with the host context: cores, the auto-selected
+    // FFT tier (the kernels behind the untiered rows) and the build
+    // type, so a committed report says what produced it.
+    benchmark::AddCustomContext(
+        "cores", std::to_string(std::thread::hardware_concurrency()));
     benchmark::AddCustomContext(
         "fft_dispatch",
         morphling::tfhe::fftDispatchTierName(
             morphling::tfhe::activeFftDispatchTier()));
+    benchmark::AddCustomContext("build_type", MORPHLING_BUILD_TYPE);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -195,6 +195,8 @@ FunctionalBackend::load(const compiler::Program &program, const Job &job)
 {
     reset();
     bindProgram(program, job);
+    // Every instruction retires exactly once: size the log up front.
+    log_.reserve(program.size());
     // Keep pointers only after binding succeeded.
     program_ = &program;
     inputs_ = job.inputs;
@@ -302,12 +304,12 @@ void
 FunctionalBackend::blindRotateChunk(Chunk &chunk,
                                     tfhe::BootstrapWorkspace &ws)
 {
-    chunk.accs.resize(chunk.count);
     if (config_.xpuEngine == XpuEngine::kWorkspace) {
-        for (unsigned i = 0; i < chunk.count; ++i) {
-            tfhe::blindRotate(bsk_, testPoly_, chunk.switched[i],
-                              chunk.accs[i], ws);
-        }
+        // The whole chunk is one BSK-stationary group: each BSK_i is
+        // applied to every ciphertext of the chunk before BSK_i+1, as
+        // the chunk's one DMA.LD_BSK stream feeds the VPE array.
+        tfhe::blindRotateBatch(bsk_, testPoly_, chunk.switched,
+                               chunk.accs, ws);
         return;
     }
     // Datapath engine: waves of up to `rows` ciphertexts share each
@@ -357,6 +359,12 @@ FunctionalBackend::execute(const InstrRef &ref,
             tfhe::modSwitchInto(chunk.staging[i], params_.polyDegree,
                                 chunk.switched[i]);
         }
+        // The chunk's accumulators are shaped here, with the rest of
+        // its staging, so XPU.BR runs allocation-free once the
+        // workspace is warm.
+        chunk.accs.assign(chunk.count,
+                          tfhe::GlweCiphertext(params_.glweDimension,
+                                               params_.polyDegree));
         chunk.modSwitched = true;
         break;
       }

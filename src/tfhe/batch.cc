@@ -1,10 +1,12 @@
 #include "batch.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "common/logging.h"
+#include "telemetry/telemetry.h"
 #include "tfhe/encoding.h"
 #include "tfhe/noise.h"
 
@@ -12,17 +14,37 @@ namespace morphling::tfhe {
 
 namespace {
 
-/** One bootstrap from evaluation material only (mirrors
- *  serverBootstrap; the KeySet path delegates here too). Runs through
- *  the calling thread's workspace, so each pool worker reuses its own
- *  scratch across the whole batch. */
+/** Largest group of ciphertexts one worker blind-rotates together:
+ *  the paper's group of 16 LWEs sharing one BSK stream, and the chunk
+ *  of a compiled Program (compiler::kGroupSize). */
+constexpr std::size_t kMaxGroup = 16;
+
+/**
+ * Bootstrap inputs[begin, end) as one group: mod-switch each input,
+ * blind-rotate the whole group BSK-stationary, then sample-extract and
+ * key-switch each ciphertext. `switched` and `accs` hold at least
+ * end - begin entries and are reused across the worker's groups.
+ */
 void
-bootstrapOne(const BootstrapKey &bsk, const KeySwitchKey &ksk,
-             const TorusPolynomial &test_poly, const LweCiphertext &ct,
-             LweCiphertext &out)
+bootstrapGroup(const BootstrapKey &bsk, const KeySwitchKey &ksk,
+               const TorusPolynomial &test_poly,
+               const std::vector<LweCiphertext> &inputs, std::size_t begin,
+               std::size_t end, std::vector<LweCiphertext> &out,
+               std::vector<std::vector<std::uint32_t>> &switched,
+               std::vector<GlweCiphertext> &accs, BootstrapWorkspace &ws)
 {
-    bootstrapInto(bsk, ksk, test_poly, ct, out,
-                  BootstrapWorkspace::forThisThread());
+    const std::size_t count = end - begin;
+    for (std::size_t g = 0; g < count; ++g)
+        modSwitchInto(inputs[begin + g], test_poly.degree(), switched[g]);
+    {
+        MORPHLING_SPAN("tfhe", "blind_rotate");
+        blindRotateBatch(bsk, test_poly, {switched.data(), count},
+                         {accs.data(), count}, ws);
+    }
+    for (std::size_t g = 0; g < count; ++g) {
+        accs[g].sampleExtractAtInto(0, ws.extracted);
+        ksk.applyInto(ws.extracted, out[begin + g]);
+    }
 }
 
 std::vector<LweCiphertext>
@@ -37,26 +59,35 @@ runBatch(const BootstrapKey &bsk, const KeySwitchKey &ksk,
     threads = std::min<unsigned>(
         threads, std::max<std::size_t>(1, inputs.size()));
 
-    std::vector<LweCiphertext> out(inputs.size());
-    if (threads == 1 || inputs.size() <= 1) {
-        for (std::size_t i = 0; i < inputs.size(); ++i)
-            bootstrapOne(bsk, ksk, test_poly, inputs[i], out[i]);
-        return out;
-    }
+    // Contiguous groups of up to kMaxGroup; a short batch is split so
+    // that every worker still gets a group.
+    const std::size_t group = std::clamp<std::size_t>(
+        (inputs.size() + threads - 1) / threads, 1, kMaxGroup);
 
-    // Work stealing over an atomic index: bootstraps are uniform in
-    // cost, so a simple counter balances well.
+    std::vector<LweCiphertext> out(inputs.size());
+    // Work stealing over an atomic group index: groups are uniform in
+    // cost, so a simple counter balances well. Each worker reuses its
+    // own group buffers and its thread's workspace across groups.
     std::atomic<std::size_t> next{0};
     auto worker = [&]() {
+        std::vector<std::vector<std::uint32_t>> switched(group);
+        std::vector<GlweCiphertext> accs(group);
+        auto &ws = BootstrapWorkspace::forThisThread();
         for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= inputs.size())
+            const std::size_t begin =
+                next.fetch_add(group, std::memory_order_relaxed);
+            if (begin >= inputs.size())
                 return;
-            bootstrapOne(bsk, ksk, test_poly, inputs[i], out[i]);
+            bootstrapGroup(bsk, ksk, test_poly, inputs, begin,
+                           std::min(begin + group, inputs.size()), out,
+                           switched, accs, ws);
         }
     };
 
+    if (threads == 1) {
+        worker();
+        return out;
+    }
     std::vector<std::thread> pool;
     pool.reserve(threads);
     for (unsigned t = 0; t < threads; ++t)

@@ -67,34 +67,66 @@ constantTestPolynomial(unsigned poly_degree, Torus32 mu)
 }
 
 void
-blindRotate(const BootstrapKey &bsk, const TorusPolynomial &test_poly,
-            const std::vector<std::uint32_t> &switched,
-            GlweCiphertext &acc, BootstrapWorkspace &ws)
+blindRotateBatch(const BootstrapKey &bsk, const TorusPolynomial &test_poly,
+                 std::span<const std::vector<std::uint32_t>> switched,
+                 std::span<GlweCiphertext> accs, BootstrapWorkspace &ws)
 {
-    const unsigned n = static_cast<unsigned>(switched.size()) - 1;
-    panic_if(bsk.size() != n, "BSK has ", bsk.size(), " entries, need ",
-             n);
+    panic_if(switched.size() != accs.size(), "blind-rotation group has ",
+             switched.size(), " switched ciphertexts but ", accs.size(),
+             " accumulators");
+    const auto count = static_cast<unsigned>(accs.size());
+    if (count == 0)
+        return;
+    const unsigned n = bsk.size();
+    for (const auto &sw : switched) {
+        panic_if(sw.size() != n + 1, "BSK has ", n, " entries, need ",
+                 sw.size() - 1);
+    }
     const unsigned poly_degree = test_poly.degree();
     const unsigned two_n = 2 * poly_degree;
-    const unsigned k = bsk.entry(0).numCols() - 1;
+    const FourierGgsw &first = bsk.entry(0);
+    const unsigned k = first.numCols() - 1;
+    ws.ensure(k, poly_degree, first.levels(), first.baseBits(), count);
 
     // ACC_0 = X^(-b~) * (0,..,0,TP). Negative powers fold into
     // [0, 2N) because X^(2N) = 1; the test polynomial is rotated
     // straight into the accumulator body (rotate-on-construct).
-    if (acc.dimension() != k || acc.polyDegree() != poly_degree)
-        acc = GlweCiphertext(k, poly_degree);
-    for (unsigned c = 0; c < k; ++c)
-        acc.component(c).clear();
-    const unsigned b_tilde = switched[n] % two_n;
-    test_poly.mulByXPowerInto((two_n - b_tilde) % two_n, acc.body());
-
-    for (unsigned i = 0; i < n; ++i) {
-        const unsigned a_tilde = switched[i] % two_n;
-        if (a_tilde == 0)
-            continue; // X^0 rotation: CMux output equals its input.
-        MORPHLING_SPAN_FINE("tfhe", "cmux");
-        cmuxRotateInPlace(bsk.entry(i), acc, a_tilde, ws);
+    for (unsigned g = 0; g < count; ++g) {
+        GlweCiphertext &acc = accs[g];
+        if (acc.dimension() != k || acc.polyDegree() != poly_degree)
+            acc = GlweCiphertext(k, poly_degree);
+        for (unsigned c = 0; c < k; ++c)
+            acc.component(c).clear();
+        const unsigned b_tilde = switched[g][n] % two_n;
+        test_poly.mulByXPowerInto((two_n - b_tilde) % two_n, acc.body());
     }
+
+    // BSK-stationary: BSK_i is the outer loop and serves every group
+    // member with a nonzero rotation in one group CMux.
+    for (unsigned i = 0; i < n; ++i) {
+        unsigned active = 0;
+        for (unsigned g = 0; g < count; ++g) {
+            const unsigned a_tilde = switched[g][i] % two_n;
+            if (a_tilde == 0)
+                continue; // X^0 rotation: CMux output equals its input.
+            ws.groupAcc[active] = &accs[g];
+            ws.groupPower[active] = a_tilde;
+            ++active;
+        }
+        if (active == 0)
+            continue;
+        MORPHLING_SPAN_FINE("tfhe", "cmux");
+        cmuxRotateGroupInPlace(bsk.entry(i), ws.groupAcc.data(),
+                               ws.groupPower.data(), active, ws);
+    }
+}
+
+void
+blindRotate(const BootstrapKey &bsk, const TorusPolynomial &test_poly,
+            const std::vector<std::uint32_t> &switched,
+            GlweCiphertext &acc, BootstrapWorkspace &ws)
+{
+    blindRotateBatch(bsk, test_poly, {&switched, 1}, {&acc, 1}, ws);
 }
 
 GlweCiphertext

@@ -13,6 +13,7 @@
 #define MORPHLING_TFHE_BOOTSTRAP_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tfhe/keyset.h"
@@ -76,6 +77,24 @@ void blindRotate(const BootstrapKey &bsk,
                  const TorusPolynomial &test_poly,
                  const std::vector<std::uint32_t> &switched,
                  GlweCiphertext &acc, BootstrapWorkspace &ws);
+
+/**
+ * BSK-stationary blind rotation of a group of G = accs.size()
+ * ciphertexts (the paper's group of LWEs sharing one BSK stream):
+ * BSK_i is the outer loop, and each BSK_i serves every group member
+ * whose rotation X^(a~_i) is not X^0 through one group CMux
+ * (cmuxRotateGroupInPlace), so the G*(k+1)*l_b forward and G*(k+1)
+ * inverse FFTs of a step fill the SIMD lanes across ciphertexts.
+ *
+ * accs[g] receives the rotation of switched[g], bit-identical to the
+ * single-ciphertext blindRotate above, which is this call with G = 1.
+ * `ws` grows to G slots on first use; allocation-free once warm.
+ */
+void blindRotateBatch(const BootstrapKey &bsk,
+                      const TorusPolynomial &test_poly,
+                      std::span<const std::vector<std::uint32_t>> switched,
+                      std::span<GlweCiphertext> accs,
+                      BootstrapWorkspace &ws);
 
 /**
  * Full workspace bootstrap from evaluation material: mod-switch, blind

@@ -190,45 +190,51 @@ externalProductSchoolbook(const GgswCiphertext &ggsw,
 
 namespace {
 
+void
+checkGgswShape(const FourierGgsw &ggsw, unsigned k)
+{
+    panic_if(ggsw.numRows() != (k + 1) * ggsw.levels(),
+             "GGSW/GLWE shape mismatch");
+    panic_if(ggsw.numCols() != k + 1, "GGSW column count mismatch");
+}
+
 /**
- * Stage (1) of the Fourier external product: decompose all components
- * of `input` and transform each digit polynomial into ws.digitsF.
- * These (k+1)*l_b forward transforms are the ones the hardware shares
- * across a VPE row (input transform-domain reuse); on the CPU substrate
- * they go through BatchFft as a single batched call, so the SIMD tiers
+ * Stage (1a) of the Fourier external product: decompose all k+1
+ * components of `input` into the digit polynomials of group slot
+ * `slot`. The (k+1)*l_b forward transforms of every slot then go
+ * through BatchFft as one batched call (the ones the hardware shares
+ * across a VPE row: input transform-domain reuse), so the SIMD tiers
  * transform several digit polynomials per pass.
  */
 void
-decomposeAndTransform(const FourierGgsw &ggsw, const GlweCiphertext &input,
-                      BootstrapWorkspace &ws)
+decomposeIntoSlot(const GlweCiphertext &input, unsigned slot,
+                  BootstrapWorkspace &ws)
 {
     const unsigned k = input.dimension();
-    const unsigned n = input.polyDegree();
-    const unsigned levels = ggsw.levels();
-    panic_if(ggsw.numRows() != (k + 1) * levels,
-             "GGSW/GLWE shape mismatch");
-    panic_if(ggsw.numCols() != k + 1, "GGSW column count mismatch");
-
-    ws.ensure(k, n, levels, ggsw.baseBits());
+    const unsigned levels = ws.plan.levels;
+    IntPolynomial *dst =
+        ws.digits.data() + static_cast<std::size_t>(slot) * (k + 1) * levels;
     for (unsigned u = 0; u <= k; ++u)
         gadgetDecomposePlannedInto(input.component(u), ws.plan,
-                                   ws.digits.data() + u * levels);
-    BatchFft::forDegree(n).forward(ws.batchDigits.data(),
-                                   ws.batchDigitsF.data(),
-                                   (k + 1) * levels);
+                                   dst + u * levels);
 }
 
-/** Stage (2): the (k+1) transform-domain dot products of equation (2),
- *  one per output component, accumulated into ws.accF. */
+/** Stage (2): the (k+1) transform-domain dot products of equation (2)
+ *  for group slot `slot`, one per output component, accumulated into
+ *  that slot's ws.accF entries. */
 void
-accumulateColumns(const FourierGgsw &ggsw, BootstrapWorkspace &ws,
-                  unsigned k)
+accumulateColumns(const FourierGgsw &ggsw, unsigned slot, unsigned k,
+                  BootstrapWorkspace &ws)
 {
     const unsigned rows = ggsw.numRows();
+    const FourierPolynomial *digits =
+        ws.digitsF.data() + static_cast<std::size_t>(slot) * rows;
+    FourierPolynomial *acc =
+        ws.accF.data() + static_cast<std::size_t>(slot) * (k + 1);
     for (unsigned c = 0; c <= k; ++c) {
-        ws.accF[c].clear();
+        acc[c].clear();
         for (unsigned r = 0; r < rows; ++r)
-            ws.accF[c].mulAddAssign(ws.digitsF[r], ggsw.at(r, c));
+            acc[c].mulAddAssign(digits[r], ggsw.at(r, c));
     }
 }
 
@@ -240,7 +246,12 @@ externalProductFourier(const FourierGgsw &ggsw, const GlweCiphertext &input,
 {
     const unsigned k = input.dimension();
     const unsigned n = input.polyDegree();
-    decomposeAndTransform(ggsw, input, ws);
+    checkGgswShape(ggsw, k);
+    ws.ensure(k, n, ggsw.levels(), ggsw.baseBits());
+    const BatchFft &fft = BatchFft::forDegree(n);
+    decomposeIntoSlot(input, 0, ws);
+    fft.forward(ws.batchDigits.data(), ws.batchDigitsF.data(),
+                ggsw.numRows());
     if (result.dimension() != k || result.polyDegree() != n)
         result = GlweCiphertext(k, n);
 
@@ -248,11 +259,10 @@ externalProductFourier(const FourierGgsw &ggsw, const GlweCiphertext &input,
     // in the transform domain (output transform-domain reuse: a single
     // inverse FFT per component, not per product). The k+1 inverse
     // transforms run as one batched call straight into `result`.
-    accumulateColumns(ggsw, ws, k);
+    accumulateColumns(ggsw, 0, k, ws);
     for (unsigned c = 0; c <= k; ++c)
         ws.batchTorus[c] = &result.component(c);
-    BatchFft::forDegree(n).inverseInPlace(ws.batchAccF.data(),
-                                          ws.batchTorus.data(), k + 1);
+    fft.inverseInPlace(ws.batchAccF.data(), ws.batchTorus.data(), k + 1);
 }
 
 GlweCiphertext
@@ -265,28 +275,53 @@ externalProductFourier(const FourierGgsw &ggsw, const GlweCiphertext &input)
 }
 
 void
+cmuxRotateGroupInPlace(const FourierGgsw &ggsw, GlweCiphertext *const *accs,
+                       const unsigned *powers, unsigned count,
+                       BootstrapWorkspace &ws)
+{
+    if (count == 0)
+        return;
+    const unsigned k = accs[0]->dimension();
+    const unsigned n = accs[0]->polyDegree();
+    checkGgswShape(ggsw, k);
+    ws.ensure(k, n, ggsw.levels(), ggsw.baseBits(), count);
+    const BatchFft &fft = BatchFft::forDegree(n);
+
+    // Lambda_g = X^power_g * ACC_g - ACC_g, decomposed into slot g ...
+    for (unsigned g = 0; g < count; ++g) {
+        GlweCiphertext &acc = *accs[g];
+        panic_if(acc.dimension() != k || acc.polyDegree() != n,
+                 "CMux group members differ in shape");
+        for (unsigned c = 0; c <= k; ++c)
+            acc.component(c).rotateDiffInto(powers[g], ws.diff.component(c));
+        decomposeIntoSlot(ws.diff, g, ws);
+    }
+
+    // ... then ACC_g += BSK [.] Lambda_g: the group's forward FFTs in
+    // one batched call, every slot's MAC against the same GGSW, and the
+    // group's inverse FFTs in one batched call into ws.prods, which are
+    // accumulated straight into the rotating accumulators.
+    const unsigned comps = k + 1;
+    fft.forward(ws.batchDigits.data(), ws.batchDigitsF.data(),
+                count * ggsw.numRows());
+    for (unsigned g = 0; g < count; ++g)
+        accumulateColumns(ggsw, g, k, ws);
+    for (unsigned j = 0; j < count * comps; ++j)
+        ws.batchTorus[j] = &ws.prods[j];
+    fft.inverseInPlace(ws.batchAccF.data(), ws.batchTorus.data(),
+                       count * comps);
+    for (unsigned g = 0; g < count; ++g) {
+        for (unsigned c = 0; c <= k; ++c)
+            accs[g]->component(c).addAssign(ws.prods[g * comps + c]);
+    }
+}
+
+void
 cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
                   unsigned power, BootstrapWorkspace &ws)
 {
-    const unsigned k = acc.dimension();
-    const unsigned n = acc.polyDegree();
-    ws.ensure(k, n, ggsw.levels(), ggsw.baseBits());
-
-    // Lambda = X^power * ACC - ACC ...
-    for (unsigned c = 0; c <= k; ++c)
-        acc.component(c).rotateDiffInto(power, ws.diff.component(c));
-
-    // ... then ACC += BSK [.] Lambda, the external product's k+1
-    // inverse FFTs batched into ws.prods and accumulated straight into
-    // the rotating accumulator (no result/copy ciphertexts).
-    decomposeAndTransform(ggsw, ws.diff, ws);
-    accumulateColumns(ggsw, ws, k);
-    for (unsigned c = 0; c <= k; ++c)
-        ws.batchTorus[c] = &ws.prods[c];
-    BatchFft::forDegree(n).inverseInPlace(ws.batchAccF.data(),
-                                          ws.batchTorus.data(), k + 1);
-    for (unsigned c = 0; c <= k; ++c)
-        acc.component(c).addAssign(ws.prods[c]);
+    GlweCiphertext *const one = &acc;
+    cmuxRotateGroupInPlace(ggsw, &one, &power, 1, ws);
 }
 
 GlweCiphertext

@@ -192,10 +192,25 @@ GlweCiphertext cmuxRotate(const FourierGgsw &ggsw,
 
 /**
  * In-place workspace CMux: acc += ggsw [.] (X^power * acc - acc).
- * The blind-rotation inner loop; allocation-free once `ws` is warm.
+ * One blind-rotation step for one ciphertext (a group of one, below);
+ * allocation-free once `ws` is warm.
  */
 void cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
                        unsigned power, BootstrapWorkspace &ws);
+
+/**
+ * Group CMux against one shared GGSW: for every g in [0, count),
+ * *accs[g] += ggsw [.] (X^powers[g] * *accs[g] - *accs[g]). The
+ * group's count*(k+1)*l_b forward and count*(k+1) inverse FFTs each
+ * run as one batched call, so the SIMD lanes fill across ciphertexts.
+ * Each accumulator's result is bit-identical to cmuxRotateInPlace,
+ * which is this call with count = 1. Grows `ws` to `count` slots;
+ * allocation-free once warm.
+ */
+void cmuxRotateGroupInPlace(const FourierGgsw &ggsw,
+                            GlweCiphertext *const *accs,
+                            const unsigned *powers, unsigned count,
+                            BootstrapWorkspace &ws);
 
 } // namespace morphling::tfhe
 

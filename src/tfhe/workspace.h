@@ -17,6 +17,16 @@
  * tests/test_workspace.cc). A workspace is single-thread-only;
  * forThisThread() hands out one instance per thread, which the legacy
  * (workspace-free) entry points use transparently.
+ *
+ * The external-product scratch is group-shaped. A BSK-stationary
+ * blind rotation (blindRotateBatch) runs one CMux step for a whole
+ * group of G accumulators against the same BSK_i, so the digit,
+ * transform, accumulator and inverse-output buffers hold G slots, one
+ * per group member, laid out slot-major: slot s owns digits
+ * [s*(k+1)*l_b, (s+1)*(k+1)*l_b) and accF/prods [s*(k+1), (s+1)*(k+1)).
+ * The group capacity grows lazily to the largest group actually run
+ * and never shrinks while the geometry stays the same; a workspace
+ * that only ever ran single bootstraps holds one slot.
  */
 
 #ifndef MORPHLING_TFHE_WORKSPACE_H
@@ -33,7 +43,7 @@ namespace morphling::tfhe {
 
 /**
  * Scratch buffers threaded through externalProductFourier /
- * cmuxRotateInPlace / blindRotate / bootstrapInto.
+ * cmuxRotateGroupInPlace / blindRotateBatch / bootstrapInto.
  *
  * Members are public by design: the workspace is a bag of buffers owned
  * by the pipeline stages, not an abstraction boundary. Their contents
@@ -49,33 +59,43 @@ class BootstrapWorkspace
 
     /**
      * (Re)shape the external-product scratch for GLWE dimension k, ring
-     * degree N and the given gadget. No-op (and allocation-free) when
-     * the shapes already match.
+     * degree N and the given gadget, with room for at least `group`
+     * slots (see the file comment). A geometry change drops back to
+     * `group` slots; otherwise the capacity only grows. No-op (and
+     * allocation-free) when the shapes already fit.
      */
     void ensure(unsigned glwe_dim, unsigned poly_degree, unsigned levels,
-                unsigned base_bits);
+                unsigned base_bits, unsigned group = 1);
+
+    /** Group slots the scratch is currently shaped for. */
+    unsigned groupCapacity() const { return group_; }
 
     /** The calling thread's workspace. Entry points that take no
      *  explicit workspace route through this instance. */
     static BootstrapWorkspace &forThisThread();
 
-    // --- external product / CMux scratch -----------------------------
+    // --- external product / CMux scratch (group-shaped) --------------
     GadgetPlan plan;                   //!< hoisted decomposition consts
-    std::vector<IntPolynomial> digits; //!< (k+1)*l_b digit polynomials
-    std::vector<FourierPolynomial> digitsF; //!< (k+1)*l_b transforms
-    std::vector<FourierPolynomial> accF; //!< k+1 transform accumulators
-    GlweCiphertext diff;               //!< X^a * ACC - ACC
-    std::vector<TorusPolynomial> prods; //!< k+1 inverse-FFT outputs
+    std::vector<IntPolynomial> digits; //!< G*(k+1)*l_b digit polynomials
+    std::vector<FourierPolynomial> digitsF; //!< G*(k+1)*l_b transforms
+    std::vector<FourierPolynomial> accF; //!< G*(k+1) transform accumulators
+    GlweCiphertext diff;               //!< X^a * ACC - ACC (one slot)
+    std::vector<TorusPolynomial> prods; //!< G*(k+1) inverse-FFT outputs
 
     // Stable pointer views over the buffers above, preshaped by
     // ensure() so the batched FFT entry points (BatchFft) can be fed
     // without per-call allocation. batchTorus is filled per call (its
-    // targets live in the caller's ciphertext); the rest point at the
-    // workspace's own buffers.
+    // targets may live in the caller's ciphertext); the rest point at
+    // the workspace's own buffers.
     std::vector<const IntPolynomial *> batchDigits;  //!< -> digits
     std::vector<FourierPolynomial *> batchDigitsF;   //!< -> digitsF
     std::vector<FourierPolynomial *> batchAccF;      //!< -> accF
-    std::vector<TorusPolynomial *> batchTorus;       //!< k+1 slots
+    std::vector<TorusPolynomial *> batchTorus;       //!< G*(k+1) slots
+
+    // The group members taking part in one CMux step (those whose
+    // rotation is not X^0), filled per BSK index by blindRotateBatch.
+    std::vector<GlweCiphertext *> groupAcc; //!< G accumulator slots
+    std::vector<unsigned> groupPower;       //!< G rotation powers
 
     // --- bootstrap pipeline scratch ----------------------------------
     GlweCiphertext acc;                 //!< blind-rotation accumulator
@@ -86,6 +106,8 @@ class BootstrapWorkspace
   private:
     unsigned glweDim_ = 0;
     unsigned polyDegree_ = 0;
+    unsigned levels_ = 0;
+    unsigned group_ = 0;
 };
 
 } // namespace morphling::tfhe

@@ -4,8 +4,10 @@
  * legacy entry-point equivalence (exact integer equality), the radix-4
  * FFT engine against the radix-2 reference, the planned gadget
  * decomposition and in-place rotations against their scalar originals,
- * and an operator-new hook asserting that a warmed-up bootstrap through
- * the workspace performs zero heap allocations.
+ * the BSK-stationary group blind rotation against a per-ciphertext
+ * reference, and an operator-new hook asserting that a warmed-up
+ * bootstrap, group rotation and superbatch rotation through the
+ * workspace perform zero heap allocations.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 
 #include "common/aligned.h"
 #include "common/rng.h"
+#include "compiler/sw_scheduler.h"
+#include "exec/functional_backend.h"
 #include "tfhe/bootstrap.h"
 #include "tfhe/encoding.h"
 #include "tfhe/fft.h"
@@ -755,6 +759,221 @@ TEST(BatchFftTiers, ExternalProductBitIdenticalAcrossTiers)
             EXPECT_EQ(result.component(c), scalarResult.component(c))
                 << fftDispatchTierName(tier) << " component " << c;
     }
+}
+
+// ---------------------------------------------------------------------
+// BSK-stationary blind rotation: blindRotateBatch over a group must
+// equal, bit for bit, a per-ciphertext rotation built on the workspace
+// external product, for every group size, every mix of skipped (X^0)
+// iterations and every dispatch tier.
+// ---------------------------------------------------------------------
+
+/** The blind-rotation keys for the group tests (generated once). */
+const KeySet &
+groupKeys()
+{
+    static const KeySet keys = [] {
+        Rng rng(0x6B0B);
+        return KeySet::generate(paramsTest(), rng);
+    }();
+    return keys;
+}
+
+/**
+ * Per-ciphertext reference rotation: ACC_0 = X^(-b~) * (0,..,0,TP),
+ * then ACC += BSK_i [.] (X^(a~_i) * ACC - ACC) for every a~_i != 0,
+ * one external product at a time.
+ */
+GlweCiphertext
+referenceBlindRotate(const BootstrapKey &bsk, const TorusPolynomial &tp,
+                     const std::vector<std::uint32_t> &switched,
+                     BootstrapWorkspace &ws)
+{
+    const unsigned n = bsk.size();
+    const unsigned big_n = tp.degree();
+    const unsigned two_n = 2 * big_n;
+    const unsigned k = bsk.entry(0).numCols() - 1;
+    GlweCiphertext acc(k, big_n);
+    tp.mulByXPowerInto((two_n - switched[n] % two_n) % two_n, acc.body());
+    GlweCiphertext diff(k, big_n), prod;
+    for (unsigned i = 0; i < n; ++i) {
+        const unsigned a = switched[i] % two_n;
+        if (a == 0)
+            continue;
+        for (unsigned c = 0; c <= k; ++c)
+            acc.component(c).rotateDiffInto(a, diff.component(c));
+        externalProductFourier(bsk.entry(i), diff, prod, ws);
+        for (unsigned c = 0; c <= k; ++c)
+            acc.component(c).addAssign(prod.component(c));
+    }
+    return acc;
+}
+
+/**
+ * Hand-built switched vectors: member g skips (a~_i = 0, or 2N, which
+ * folds to 0) on a pattern of its own, so at most iterations some
+ * members rotate while others do not; iteration 0 is skipped by all and
+ * iteration 1 rotated by member 0 alone.
+ */
+std::vector<std::vector<std::uint32_t>>
+handBuiltSwitched(unsigned count, unsigned n, unsigned two_n, Rng &rng)
+{
+    std::vector<std::vector<std::uint32_t>> out(
+        count, std::vector<std::uint32_t>(n + 1));
+    for (unsigned g = 0; g < count; ++g) {
+        for (unsigned i = 0; i <= n; ++i) {
+            const bool skip = i == 0 || (i == 1 && g != 0) ||
+                              (i + g) % (g % 4 + 2) == 0;
+            std::uint32_t v = 1 + rng.nextU32() % (two_n - 1);
+            if (skip)
+                v = (i + g) % 2 ? two_n : 0;
+            out[g][i] = v;
+        }
+    }
+    return out;
+}
+
+TEST(BlindRotateBatch, BitIdenticalToPerCiphertextLoopOnEveryTier)
+{
+    const auto &keys = groupKeys();
+    const unsigned big_n = keys.params.polyDegree;
+    const unsigned n = keys.params.lweDimension;
+    const std::vector<TorusPolynomial> test_polys = {
+        buildTestPolynomial(big_n, makePaddedLut(4, [](std::uint32_t m) {
+                                return (3 * m + 1) % 4;
+                            })),
+        constantTestPolynomial(big_n, doubleToTorus32(0.125)),
+    };
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        // One workspace across all group sizes: it grows, is reused at
+        // smaller sizes, and must not leak state between groups.
+        BootstrapWorkspace ws, ref_ws;
+        for (const unsigned count : {1u, 2u, 3u, 7u, 16u, 17u}) {
+            Rng rng(0x5117 + count);
+            const auto switched = handBuiltSwitched(count, n, 2 * big_n, rng);
+            for (std::size_t t = 0; t < test_polys.size(); ++t) {
+                std::vector<GlweCiphertext> accs(count);
+                blindRotateBatch(keys.bsk, test_polys[t], switched, accs,
+                                 ws);
+                for (unsigned g = 0; g < count; ++g) {
+                    const auto want = referenceBlindRotate(
+                        keys.bsk, test_polys[t], switched[g], ref_ws);
+                    for (unsigned c = 0; c <= keys.params.glweDimension;
+                         ++c) {
+                        ASSERT_EQ(accs[g].component(c), want.component(c))
+                            << fftDispatchTierName(tier) << " G=" << count
+                            << " test poly " << t << " member " << g
+                            << " component " << c;
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(ws.groupCapacity(), 17u) << fftDispatchTierName(tier);
+    }
+}
+
+TEST(Workspace, GroupScratchGrowsOnlyToTheLargestGroupRun)
+{
+    const auto &keys = groupKeys();
+    const auto &p = keys.params;
+    const std::size_t rows = std::size_t{p.glweDimension + 1} * p.bskLevels;
+    const auto tp = constantTestPolynomial(p.polyDegree, 1u << 29);
+    Rng rng(0x6A0);
+
+    BootstrapWorkspace ws;
+    LweCiphertext out;
+    bootstrapInto(keys.bsk, keys.ksk, tp, encryptBit(keys, true, rng), out,
+                  ws);
+    EXPECT_EQ(ws.groupCapacity(), 1u) << "single bootstraps hold one slot";
+    EXPECT_EQ(ws.digits.size(), rows);
+
+    for (const unsigned count : {3u, 7u, 2u}) {
+        const auto switched =
+            handBuiltSwitched(count, p.lweDimension, 2 * p.polyDegree, rng);
+        std::vector<GlweCiphertext> accs(count);
+        blindRotateBatch(keys.bsk, tp, switched, accs, ws);
+    }
+    bootstrapInto(keys.bsk, keys.ksk, tp, encryptBit(keys, false, rng), out,
+                  ws);
+    EXPECT_EQ(ws.groupCapacity(), 7u)
+        << "the scratch grows to the largest group run and stays there";
+    EXPECT_EQ(ws.digits.size(), 7 * rows);
+    EXPECT_EQ(ws.digitsF.size(), 7 * rows);
+    EXPECT_EQ(ws.accF.size(), 7u * (p.glweDimension + 1));
+    EXPECT_EQ(ws.prods.size(), 7u * (p.glweDimension + 1));
+}
+
+TEST(AllocationGuard, WarmedGroupBlindRotationPerformsZeroAllocations)
+{
+    const auto &keys = groupKeys();
+    const auto &p = keys.params;
+    Rng rng(0xA11C);
+    std::vector<std::vector<std::uint32_t>> switched(16);
+    for (unsigned g = 0; g < 16; ++g)
+        modSwitchInto(encryptBit(keys, g % 3 == 0, rng), p.polyDegree,
+                      switched[g]);
+    const auto tp = constantTestPolynomial(p.polyDegree, 1u << 29);
+    std::vector<GlweCiphertext> accs(16);
+    BootstrapWorkspace ws;
+    blindRotateBatch(keys.bsk, tp, switched, accs, ws);
+    blindRotateBatch(keys.bsk, tp, switched, accs, ws);
+
+    g_allocs.store(0);
+    g_track.store(true);
+    blindRotateBatch(keys.bsk, tp, switched, accs, ws);
+    g_track.store(false);
+
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "a warmed 16-ciphertext group rotation must not touch the heap";
+    EXPECT_EQ(ws.groupCapacity(), 16u);
+}
+
+TEST(AllocationGuard, WarmedSuperbatchBlindRotationPerformsZeroAllocations)
+{
+    // A 64-LWE superbatch through the FunctionalBackend, single-stepped
+    // so the count covers exactly the XPU.BR instructions (each runs
+    // one Program chunk as a blindRotateBatch group).
+    const auto &keys = groupKeys();
+    const auto eval = EvaluationKeys::fromKeySet(keys);
+    Rng rng(0x5B64);
+    std::vector<LweCiphertext> inputs;
+    for (unsigned i = 0; i < compiler::kSuperbatchSize; ++i)
+        inputs.push_back(encryptPadded(keys, i % 4, 4, rng));
+    const auto lut = makePaddedLut(4, [](std::uint32_t m) {
+        return 3 - m;
+    });
+    const auto program = compiler::SwScheduler(keys.params)
+                             .scheduleBootstrapBatch(inputs.size());
+    exec::Job job;
+    job.inputs = &inputs;
+    job.lut = &lut;
+    exec::FunctionalBackend backend(eval);
+    (void)backend.run(program, job); // warms this thread's workspace
+
+    backend.load(program, job);
+    unsigned rotations = 0;
+    std::uint64_t rotation_allocs = 0;
+    for (;;) {
+        g_allocs.store(0);
+        g_track.store(true);
+        const auto retired = backend.step();
+        g_track.store(false);
+        if (!retired)
+            break;
+        if (retired->inst.op == compiler::Opcode::XpuBlindRotate) {
+            ++rotations;
+            rotation_allocs += g_allocs.load();
+        }
+    }
+    const auto result = backend.finish();
+    EXPECT_EQ(rotations, compiler::kNumGroups);
+    EXPECT_EQ(rotation_allocs, 0u)
+        << "warmed XPU.BR chunks must not touch the heap";
+    EXPECT_EQ(BootstrapWorkspace::forThisThread().groupCapacity(),
+              compiler::kGroupSize);
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+        EXPECT_EQ(decryptPadded(keys, result.outputs[i], 4), 3 - i % 4);
 }
 
 } // namespace
