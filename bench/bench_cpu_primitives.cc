@@ -9,7 +9,7 @@
  * `--json` writes BENCH_cpu_primitives.json; the committed copy at the
  * repository root was produced with
  *   bench_cpu_primitives --json --benchmark_min_time=0.2 \
- *     --benchmark_filter='BM_BlindRotateBatch|BM_Batch64|BM_WorkspaceBootstrap/0|BM_WorkspaceExternalProduct|BM_ParallelBatchBootstrap'
+ *     --benchmark_filter='BM_ForwardFft/1024|BM_InverseFft/1024|BM_BatchFftForward|BM_BatchFftInverse|BM_BlindRotateBatch|BM_Batch64|BM_WorkspaceBootstrap/0|BM_WorkspaceExternalProduct|BM_ParallelBatchBootstrap'
  */
 
 #include <benchmark/benchmark.h>
@@ -52,60 +52,50 @@ keysFor(const std::string &name)
     return it->second;
 }
 
+/** A lone polynomial's forward transform: a count-1 BatchFft call,
+ *  which every tier runs on the W = 1 rung. */
 void
 BM_ForwardFft(benchmark::State &state)
 {
     const unsigned n = static_cast<unsigned>(state.range(0));
-    const auto &fft = NegacyclicFft::forDegree(n);
+    const auto &fft = BatchFft::forDegree(n);
     Rng rng(1);
     TorusPolynomial poly(n);
     for (unsigned i = 0; i < n; ++i)
         poly[i] = rng.nextU32();
+    const auto *in = reinterpret_cast<const std::int32_t *>(poly.data());
     FourierPolynomial out(n);
+    FourierPolynomial *outp = &out;
     for (auto _ : state) {
-        fft.forward(poly, out);
+        fft.forward(&in, &outp, 1);
         benchmark::DoNotOptimize(out.re(0));
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ForwardFft)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
 
+/** A lone spectrum's inverse transform (count-1 BatchFft call). */
 void
 BM_InverseFft(benchmark::State &state)
 {
     const unsigned n = static_cast<unsigned>(state.range(0));
-    const auto &fft = NegacyclicFft::forDegree(n);
+    const auto &fft = BatchFft::forDegree(n);
     Rng rng(2);
     FourierPolynomial in(n);
     for (unsigned i = 0; i < in.size(); ++i) {
         in.re(i) = rng.nextDouble() * 1e6;
         in.im(i) = rng.nextDouble() * 1e6;
     }
+    const FourierPolynomial *inp = &in;
     TorusPolynomial out(n);
+    TorusPolynomial *outp = &out;
     for (auto _ : state) {
-        fft.inverse(in, out);
+        fft.inverseInPlace(&inp, &outp, 1);
         benchmark::DoNotOptimize(out[0]);
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InverseFft)->Arg(512)->Arg(1024)->Arg(2048);
-
-void
-BM_ExternalProduct(benchmark::State &state)
-{
-    const auto &keys = keysFor("I");
-    Rng rng(3);
-    const auto tp = constantTestPolynomial(
-        keys.params.polyDegree, doubleToTorus32(0.125));
-    GlweCiphertext acc = GlweCiphertext::trivial(
-        keys.params.glweDimension, tp);
-    for (auto _ : state) {
-        acc = externalProductFourier(keys.bsk.entry(0), acc);
-        benchmark::DoNotOptimize(acc.body()[0]);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ExternalProduct);
 
 void
 BM_CmuxRotate(benchmark::State &state)
@@ -115,9 +105,10 @@ BM_CmuxRotate(benchmark::State &state)
         keys.params.polyDegree, doubleToTorus32(0.125));
     GlweCiphertext acc = GlweCiphertext::trivial(
         keys.params.glweDimension, tp);
+    BootstrapWorkspace ws;
     unsigned power = 1;
     for (auto _ : state) {
-        acc = cmuxRotate(keys.bsk.entry(0), acc, power);
+        cmuxRotateInPlace(keys.bsk.entry(0), acc, power, ws);
         power = power % (2 * keys.params.polyDegree - 1) + 1;
         benchmark::DoNotOptimize(acc.body()[0]);
     }
@@ -128,9 +119,8 @@ BENCHMARK(BM_CmuxRotate);
 void
 BM_WorkspaceExternalProduct(benchmark::State &state)
 {
-    // The explicit-workspace entry point: no result-ciphertext
-    // allocation per call either (the legacy wrapper above still
-    // returns by value).
+    // One external product through the workspace: no allocation per
+    // call.
     const auto &keys = keysFor("I");
     const auto tp = constantTestPolynomial(
         keys.params.polyDegree, doubleToTorus32(0.125));
@@ -203,7 +193,8 @@ BM_WorkspaceBootstrap(benchmark::State &state)
     const auto lut = makePaddedLut(4, [](std::uint32_t m) {
         return m;
     });
-    const auto tp = buildTestPolynomial(keys.params.polyDegree, lut);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(keys.params.polyDegree, lut, tp);
     auto ct = encryptPadded(keys, 1, 4, rng);
     LweCiphertext out;
     BootstrapWorkspace ws;
@@ -370,26 +361,20 @@ runBatchFftInverse(benchmark::State &state, FftDispatchTier tier,
     Rng rng(12);
     std::vector<FourierPolynomial> spectra(kFftBatch,
                                            FourierPolynomial(n));
-    std::vector<FourierPolynomial> pristine(kFftBatch,
-                                            FourierPolynomial(n));
     std::vector<TorusPolynomial> outs(kFftBatch, TorusPolynomial(n));
-    std::vector<FourierPolynomial *> in;
+    std::vector<const FourierPolynomial *> in;
     std::vector<TorusPolynomial *> out;
     for (unsigned i = 0; i < kFftBatch; ++i) {
-        for (unsigned j = 0; j < pristine[i].size(); ++j) {
-            pristine[i].re(j) = rng.nextDouble() * 1e6;
-            pristine[i].im(j) = rng.nextDouble() * 1e6;
+        for (unsigned j = 0; j < spectra[i].size(); ++j) {
+            spectra[i].re(j) = rng.nextDouble() * 1e6;
+            spectra[i].im(j) = rng.nextDouble() * 1e6;
         }
         in.push_back(&spectra[i]);
         out.push_back(&outs[i]);
     }
     for (auto _ : state) {
-        // inverseInPlace may clobber its input (scalar-tier contract);
-        // restore from the pristine copy so every iteration transforms
-        // real data instead of blown-up leftovers that would force the
-        // slow wide-value rounding guard and skew the comparison.
-        for (unsigned i = 0; i < kFftBatch; ++i)
-            spectra[i] = pristine[i];
+        // The spectra are preserved, so every iteration transforms the
+        // same data.
         bfft.inverseInPlace(in.data(), out.data(), kFftBatch);
         benchmark::DoNotOptimize(outs[0][0]);
     }
@@ -410,7 +395,8 @@ runDispatchBootstrap(benchmark::State &state, FftDispatchTier tier)
     const auto lut = makePaddedLut(4, [](std::uint32_t m) {
         return m;
     });
-    const auto tp = buildTestPolynomial(keys.params.polyDegree, lut);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(keys.params.polyDegree, lut, tp);
     auto ct = encryptPadded(keys, 1, 4, rng);
     LweCiphertext out;
     BootstrapWorkspace ws;

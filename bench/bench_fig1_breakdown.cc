@@ -111,11 +111,15 @@ main(int argc, char **argv)
     auto ct = encryptPadded(keys, 1, 4, rng);
 
     // Time the stages separately.
+    BootstrapWorkspace ws;
+    std::vector<std::uint32_t> switched;
+    TorusPolynomial tp;
+    GlweCiphertext acc;
     const auto t0 = std::chrono::steady_clock::now();
-    const auto switched = modSwitch(ct, params.polyDegree);
+    modSwitchInto(ct, params.polyDegree, switched);
     const auto t1 = std::chrono::steady_clock::now();
-    const auto tp = buildTestPolynomial(params.polyDegree, lut);
-    const auto acc = blindRotate(keys.bsk, tp, switched);
+    buildTestPolynomialInto(params.polyDegree, lut, tp);
+    blindRotate(keys.bsk, tp, switched, acc, ws);
     const auto t2 = std::chrono::steady_clock::now();
     const auto extracted = acc.sampleExtract();
     const auto t3 = std::chrono::steady_clock::now();

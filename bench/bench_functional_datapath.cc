@@ -48,13 +48,15 @@ main(int argc, char **argv)
     const auto lut = makePaddedLut(space, [](std::uint32_t m) {
         return (m + 1) % 4;
     });
-    const auto tp = buildTestPolynomial(params.polyDegree, lut);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(params.polyDegree, lut, tp);
 
     bool all_ok = true;
+    std::vector<std::uint32_t> switched;
     const auto t2 = std::chrono::steady_clock::now();
     for (std::uint32_t m = 0; m < space; ++m) {
         const auto ct = encryptPadded(keys, m, space, rng);
-        const auto switched = modSwitch(ct, params.polyDegree);
+        modSwitchInto(ct, params.polyDegree, switched);
         const auto acc = xpu.runBlindRotate(tp, switched);
         const auto out = keys.ksk.apply(acc.sampleExtract());
         const auto dec = decryptPadded(keys, out, space);

@@ -92,16 +92,13 @@ FunctionalXpu::externalProductStep(GlweCiphertext &acc,
     }
 
     // 2. Decomposition units: (k+1) polynomials -> (k+1)*l_b digits.
-    std::vector<IntPolynomial> digits;
-    std::vector<IntPolynomial> scratch;
-    digits.reserve(static_cast<std::size_t>(kp1) * levels);
-    for (unsigned c = 0; c < kp1; ++c) {
-        tfhe::gadgetDecompose(diff[c], params_.bskBaseBits, levels,
-                              scratch);
-        for (auto &d : scratch)
-            digits.push_back(std::move(d));
-        scratch.clear();
-    }
+    const tfhe::GadgetPlan plan =
+        tfhe::makeGadgetPlan(params_.bskBaseBits, levels);
+    std::vector<IntPolynomial> digits(
+        static_cast<std::size_t>(kp1) * levels, IntPolynomial(n_poly));
+    for (unsigned c = 0; c < kp1; ++c)
+        tfhe::gadgetDecomposePlannedInto(diff[c], plan,
+                                         digits.data() + c * levels);
 
     // 3. Merge-split forward FFT: two digit polynomials per pass.
     std::vector<FourierPolynomial> digits_f(

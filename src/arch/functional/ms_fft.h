@@ -25,7 +25,7 @@
  * model's merge-split factor of two is grounded in a working datapath.
  *
  * Note: this unit's spectrum ordering (odd evaluations k = 0..N/2-1)
- * differs from tfhe::NegacyclicFft's folded ordering; spectra from the
+ * differs from tfhe::BatchFft's folded ordering; spectra from the
  * two engines must not be mixed point-wise. The functional XPU uses
  * this engine exclusively, including for its BSK precomputation.
  */

@@ -88,7 +88,7 @@ struct Job
     /** When true, blind rotations use the constant sign test
      *  polynomial tfhe::constantTestPolynomial(N, (*lut)[0]) — gate
      *  bootstrapping, mapping every ciphertext to +-mu by phase sign —
-     *  instead of the padded staircase tfhe::buildTestPolynomial
+     *  instead of the padded staircase tfhe::buildTestPolynomialInto
      *  derives from a message LUT. The two are distinct test-vector
      *  families: no staircase LUT can express the constant polynomial
      *  (its top half-slot is pinned to -lut[0]). */

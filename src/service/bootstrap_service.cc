@@ -239,6 +239,15 @@ BootstrapService::trySubmit(
     return enqueue(std::move(ct), lut, deadline, /*block=*/false);
 }
 
+void
+checkCircuitArity(const circuit::Circuit &circuit, std::size_t inputs)
+{
+    if (inputs != circuit.numInputs())
+        throw std::invalid_argument(
+            "circuit has " + std::to_string(circuit.numInputs()) +
+            " inputs, got " + std::to_string(inputs));
+}
+
 std::future<std::vector<tfhe::LweCiphertext>>
 BootstrapService::submitCircuit(circuit::Circuit circuit,
                                 std::vector<tfhe::LweCiphertext> inputs)
@@ -249,8 +258,7 @@ BootstrapService::submitCircuit(circuit::Circuit circuit,
     // invariant local (and cheap) should construction paths multiply.
     if (const auto error = config_.validate())
         throw std::invalid_argument("BootstrapService: " + *error);
-    panic_if(inputs.size() != circuit.numInputs(), "circuit has ",
-             circuit.numInputs(), " inputs, got ", inputs.size());
+    checkCircuitArity(circuit, inputs.size());
 
     CircuitJob job;
     // A circuit's admission weight is its bootstrap count, so a large

@@ -89,6 +89,14 @@ struct CompletionInfo
  */
 using CompletionObserver = std::function<void(const CompletionInfo &)>;
 
+/**
+ * Throw std::invalid_argument unless `inputs` is the circuit's input
+ * count. Both circuit entry points (BootstrapService and the tenant
+ * front door) run it before they accept or charge for any work, so a
+ * malformed request never reaches a worker thread.
+ */
+void checkCircuitArity(const circuit::Circuit &circuit, std::size_t inputs);
+
 /** Configuration of a BootstrapService. */
 struct ServiceConfig
 {
@@ -231,7 +239,9 @@ class BootstrapService
      * lockstep cross-check covers the single-LUT path). The circuit's
      * bootstrap count weighs against maxOutstanding, so big circuits
      * apply proportional backpressure; blocks at the bound like
-     * submit(). fatal() if the service has been shut down.
+     * submit(). Throws std::invalid_argument, before accepting any
+     * work, when `inputs` does not match the circuit's input count;
+     * fatal() if the service has been shut down.
      */
     std::future<std::vector<tfhe::LweCiphertext>>
     submitCircuit(circuit::Circuit circuit,

@@ -350,6 +350,8 @@ MultiTenantService::submitCircuit(
     std::vector<tfhe::LweCiphertext> inputs)
 {
     auto &t = find(tenant);
+    // Reject a malformed circuit before admit() draws its tokens.
+    checkCircuitArity(circuit, inputs.size());
     const auto cost = std::max<std::uint64_t>(
         1, circuit.bootstrapCount());
     admit(t, static_cast<double>(cost), /*block=*/true);

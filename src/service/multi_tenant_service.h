@@ -127,7 +127,9 @@ class MultiTenantService
      *  so big circuits pay proportional admission. A circuit larger
      *  than the bucket depth waits for a full bucket and leaves the
      *  balance negative (paid back at ratePerSec) rather than
-     *  blocking forever on tokens the bucket can never hold. */
+     *  blocking forever on tokens the bucket can never hold. A wrong
+     *  input count throws std::invalid_argument before any token is
+     *  drawn. */
     std::future<std::vector<tfhe::LweCiphertext>>
     submitCircuit(const TenantId &tenant, circuit::Circuit circuit,
                   std::vector<tfhe::LweCiphertext> inputs);

@@ -126,9 +126,9 @@ batchBootstrap(const KeySet &keys,
                const std::vector<Torus32> &lut, const BatchOptions &opts)
 {
     auditBatchLut(keys.params, lut, opts);
-    return runBatch(keys.bsk, keys.ksk,
-                    buildTestPolynomial(keys.params.polyDegree, lut),
-                    inputs, opts);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(keys.params.polyDegree, lut, tp);
+    return runBatch(keys.bsk, keys.ksk, tp, inputs, opts);
 }
 
 std::vector<LweCiphertext>
@@ -137,9 +137,9 @@ batchBootstrap(const EvaluationKeys &keys,
                const std::vector<Torus32> &lut, const BatchOptions &opts)
 {
     auditBatchLut(keys.params, lut, opts);
-    return runBatch(keys.bsk, keys.ksk,
-                    buildTestPolynomial(keys.params.polyDegree, lut),
-                    inputs, opts);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(keys.params.polyDegree, lut, tp);
+    return runBatch(keys.bsk, keys.ksk, tp, inputs, opts);
 }
 
 std::vector<LweCiphertext>

@@ -12,7 +12,7 @@
  * of a guess.
  *
  * Thread safety: key material is read-only during bootstrapping and
- * the FFT engines are per-thread (NegacyclicFft::forDegree), so the
+ * the FFT engines are per-thread (BatchFft::forDegree), so the
  * parallel path needs no locking.
  */
 
@@ -89,7 +89,7 @@ batchBootstrap(const EvaluationKeys &keys,
  * signBootstrap and the primitive behind boolean gate circuits. Uses
  * the constant test polynomial (NOT a staircase LUT: gates need the
  * whole negacyclic ring mapped to one magnitude, which no
- * buildTestPolynomial vector can express). Same batching/threading
+ * buildTestPolynomialInto staircase can express). Same batching/threading
  * semantics as batchBootstrap; also the reference the co-simulator
  * checks sign-LUT jobs (exec::Job::sign) against.
  */

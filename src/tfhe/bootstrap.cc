@@ -19,14 +19,6 @@ modSwitchInto(const LweCiphertext &ct, unsigned poly_degree,
         modSwitchTorus32(ct.body(), log2_two_n) % (2 * poly_degree);
 }
 
-std::vector<std::uint32_t>
-modSwitch(const LweCiphertext &ct, unsigned poly_degree)
-{
-    std::vector<std::uint32_t> out;
-    modSwitchInto(ct, poly_degree, out);
-    return out;
-}
-
 void
 buildTestPolynomialInto(unsigned poly_degree,
                         const std::vector<Torus32> &lut,
@@ -47,14 +39,6 @@ buildTestPolynomialInto(unsigned poly_degree,
             (2u * j * space + poly_degree) / (2u * poly_degree);
         out[j] = v < space ? lut[v] : (0 - lut[0]);
     }
-}
-
-TorusPolynomial
-buildTestPolynomial(unsigned poly_degree, const std::vector<Torus32> &lut)
-{
-    TorusPolynomial tp(poly_degree);
-    buildTestPolynomialInto(poly_degree, lut, tp);
-    return tp;
 }
 
 TorusPolynomial
@@ -129,16 +113,6 @@ blindRotate(const BootstrapKey &bsk, const TorusPolynomial &test_poly,
     blindRotateBatch(bsk, test_poly, {&switched, 1}, {&acc, 1}, ws);
 }
 
-GlweCiphertext
-blindRotate(const BootstrapKey &bsk, const TorusPolynomial &test_poly,
-            const std::vector<std::uint32_t> &switched)
-{
-    GlweCiphertext acc;
-    blindRotate(bsk, test_poly, switched, acc,
-                BootstrapWorkspace::forThisThread());
-    return acc;
-}
-
 void
 bootstrapInto(const BootstrapKey &bsk, const KeySwitchKey &ksk,
               const TorusPolynomial &test_poly, const LweCiphertext &ct,
@@ -164,16 +138,6 @@ bootstrapInto(const BootstrapKey &bsk, const KeySwitchKey &ksk,
 }
 
 LweCiphertext
-bootstrapNoKeySwitch(const KeySet &keys, const LweCiphertext &ct,
-                     const TorusPolynomial &test_poly)
-{
-    auto &ws = BootstrapWorkspace::forThisThread();
-    modSwitchInto(ct, keys.params.polyDegree, ws.switched);
-    blindRotate(keys.bsk, test_poly, ws.switched, ws.acc, ws);
-    return ws.acc.sampleExtract();
-}
-
-LweCiphertext
 programmableBootstrap(const KeySet &keys, const LweCiphertext &ct,
                       const std::vector<Torus32> &lut)
 {
@@ -187,10 +151,11 @@ programmableBootstrap(const KeySet &keys, const LweCiphertext &ct,
 LweCiphertext
 signBootstrap(const KeySet &keys, const LweCiphertext &ct, Torus32 mu)
 {
-    const TorusPolynomial tp =
-        constantTestPolynomial(keys.params.polyDegree, mu);
-    const LweCiphertext extracted = bootstrapNoKeySwitch(keys, ct, tp);
-    return keys.ksk.apply(extracted);
+    LweCiphertext out;
+    bootstrapInto(keys.bsk, keys.ksk,
+                  constantTestPolynomial(keys.params.polyDegree, mu), ct,
+                  out, BootstrapWorkspace::forThisThread());
+    return out;
 }
 
 TorusPolynomial
@@ -233,8 +198,9 @@ multiLutBootstrap(const KeySet &keys, const LweCiphertext &ct,
     const unsigned poly_degree = keys.params.polyDegree;
     const TorusPolynomial tp =
         buildMultiTestPolynomial(poly_degree, luts);
-    const auto switched = modSwitch(ct, poly_degree);
-    const GlweCiphertext acc = blindRotate(keys.bsk, tp, switched);
+    auto &ws = BootstrapWorkspace::forThisThread();
+    modSwitchInto(ct, poly_degree, ws.switched);
+    blindRotate(keys.bsk, tp, ws.switched, ws.acc, ws);
 
     const auto nu = static_cast<unsigned>(luts.size());
     const unsigned spacing =
@@ -245,7 +211,7 @@ multiLutBootstrap(const KeySet &keys, const LweCiphertext &ct,
         // One cheap extraction per function; the expensive blind
         // rotation is shared.
         out.push_back(
-            keys.ksk.apply(acc.sampleExtractAt(i * spacing)));
+            keys.ksk.apply(ws.acc.sampleExtractAt(i * spacing)));
     }
     return out;
 }

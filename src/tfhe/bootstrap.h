@@ -23,31 +23,24 @@ namespace morphling::tfhe {
 
 /**
  * Modulus-switch every element of an LWE ciphertext from q = 2^32 to
- * 2N (Algorithm 1, line 1). Element i of the result is
- * round(c_i * 2N / q) in [0, 2N); the body comes last.
+ * 2N (Algorithm 1, line 1) into `out`. Element i of the result is
+ * round(c_i * 2N / q) in [0, 2N); the body comes last. Allocation-free
+ * when `out` is warm.
  */
-std::vector<std::uint32_t> modSwitch(const LweCiphertext &ct,
-                                     unsigned poly_degree);
-
-/** modSwitch into an existing buffer (allocation-free when warm). */
 void modSwitchInto(const LweCiphertext &ct, unsigned poly_degree,
                    std::vector<std::uint32_t> &out);
 
 /**
  * Build the test polynomial for a LUT over a p-value message space with
  * one bit of padding (messages encoded at m / (2p), phases in
- * [0, 1/2)).
+ * [0, 1/2)) into `out` (allocation-free when already at the right
+ * degree).
  *
  * Coefficient j holds lut[round(j*p/N)]; the top half-slot holds
  * -lut[0] so that a message 0 with slightly negative noise — whose
  * switched phase wraps to just below 2N — still resolves to lut[0]
  * after the negacyclic wrap.
  */
-TorusPolynomial buildTestPolynomial(unsigned poly_degree,
-                                    const std::vector<Torus32> &lut);
-
-/** buildTestPolynomial into an existing polynomial (allocation-free
- *  when already at the right degree). */
 void buildTestPolynomialInto(unsigned poly_degree,
                              const std::vector<Torus32> &lut,
                              TorusPolynomial &out);
@@ -59,19 +52,13 @@ TorusPolynomial constantTestPolynomial(unsigned poly_degree, Torus32 mu);
 /**
  * Blind rotation (Algorithm 1, lines 2-4): starting from the trivial
  * accumulator X^(2N - b~) * (0,..,0,TP), fold in one CMux per LWE mask.
+ * The accumulator is (re)built inside `acc` (rotate-on-construct: the
+ * test polynomial is rotated directly into the accumulator body, no
+ * trivial-then-rotate copy) and every CMux runs in place through `ws`.
+ * Allocation-free when warm.
  *
  * @param switched mod-switched ciphertext (masks then body), values in
  *                 [0, 2N)
- */
-GlweCiphertext blindRotate(const BootstrapKey &bsk,
-                           const TorusPolynomial &test_poly,
-                           const std::vector<std::uint32_t> &switched);
-
-/**
- * Workspace blind rotation: the accumulator is (re)built inside `acc`
- * (rotate-on-construct: the test polynomial is rotated directly into
- * the accumulator body, no trivial-then-rotate copy) and every CMux
- * runs in place through `ws`. Allocation-free when warm.
  */
 void blindRotate(const BootstrapKey &bsk,
                  const TorusPolynomial &test_poly,
@@ -106,15 +93,6 @@ void bootstrapInto(const BootstrapKey &bsk, const KeySwitchKey &ksk,
                    const TorusPolynomial &test_poly,
                    const LweCiphertext &ct, LweCiphertext &out,
                    BootstrapWorkspace &ws);
-
-/**
- * Bootstrap with an explicit test polynomial; output remains under the
- * *extracted* key s' (no key switch). Building block for the gate and
- * programmable entry points.
- */
-LweCiphertext bootstrapNoKeySwitch(const KeySet &keys,
-                                   const LweCiphertext &ct,
-                                   const TorusPolynomial &test_poly);
 
 /**
  * Full programmable bootstrapping of a padded p-value message: returns

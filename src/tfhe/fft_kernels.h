@@ -11,8 +11,8 @@
  * twiddle broadcast across lanes, so all stages — including the
  * smallest spans and the radix-2 tail that defeat within-polynomial
  * vectorization — run at full vector width. Because each lane performs
- * exactly the scalar algorithm's operation sequence per element, the
- * batched output is bit-identical to the scalar path for every tier
+ * exactly the W = 1 kernel's operation sequence per element, the
+ * batched output is bit-identical to the scalar tier for every tier
  * (asserted in tests/test_workspace.cc).
  *
  * Each kernel translation unit is compiled with its own ISA flags plus
@@ -34,7 +34,7 @@ namespace morphling::tfhe::detail {
 inline constexpr unsigned kMaxFftLanes = 8;
 
 /**
- * Borrowed view of one NegacyclicFft engine's precomputed tables:
+ * Borrowed view of one BatchFft engine's precomputed tables:
  * everything a kernel needs to run the transform, with no ownership.
  * Pointers remain valid for the lifetime of the owning engine.
  */
@@ -64,7 +64,9 @@ struct BatchKernels
      * Negacyclic forward of W integer polynomials: fold + twist fused
      * with the lane transpose, all butterfly stages on the interleaved
      * layout, then de-transpose into each polynomial's SoA spectrum
-     * (out_re[w] / out_im[w], digit-reversed order).
+     * (out_re[w] / out_im[w], digit-reversed order). At W = 1 there is
+     * nothing to interleave: the transform runs in the output spectrum
+     * and leaves the scratch untouched.
      */
     void (*forwardW)(const NegacyclicView &t,
                      const std::int32_t *const *in,
@@ -73,8 +75,9 @@ struct BatchKernels
 
     /**
      * Unscaled-inverse + untwist + scale + round of W spectra into W
-     * torus polynomials. Consumes (clobbers) nothing of the inputs:
-     * spectra are copied into the interleaved scratch first.
+     * torus polynomials. The spectra are preserved on every tier,
+     * W = 1 included: they are staged in the interleaved scratch
+     * before anything is written.
      */
     void (*inverseW)(const NegacyclicView &t,
                      const double *const *in_re,
@@ -94,10 +97,10 @@ struct BatchKernels
 };
 
 /**
- * Round a double onto the discretized 32-bit torus. Shared by the
- * scalar inverse path and every vector kernel's store stage so the
- * rounding behaviour (llrint + wrap-around cast, guarded exact range
- * reduction beyond 2^62) is one definition across tiers.
+ * Round a double onto the discretized 32-bit torus. Shared by every
+ * kernel tier's store stage so the rounding behaviour (llrint +
+ * wrap-around cast, guarded exact range reduction beyond 2^62) is one
+ * definition across tiers.
  */
 inline Torus32
 roundToTorus(double v)

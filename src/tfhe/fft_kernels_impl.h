@@ -17,14 +17,12 @@
  * op with the twiddle splat across lanes, so every stage runs at full
  * width regardless of its span. The fold+twist (forward) and
  * untwist+scale+round (inverse) are fused into the lane transpose
- * passes at the array boundaries, preserving the scalar engine's
- * pass count.
+ * passes at the array boundaries.
  *
- * Bit-identity contract: each lane executes exactly the operation
- * sequence of the scalar path per element (multiplies and adds in the
- * same order, no FMA contraction, shared roundToTorus), so outputs are
- * bit-identical to NegacyclicFft's scalar transforms. Keep any change
- * here in lockstep with fft.cc and compile kernel TUs with
+ * Bit-identity contract: every tier instantiates this one template, so
+ * each lane executes exactly the operation sequence of the W = 1 rung
+ * per element (multiplies and adds in the same order, no FMA
+ * contraction, shared roundToTorus). Compile kernel TUs with
  * -ffp-contract=off.
  */
 
@@ -52,7 +50,7 @@ foldTwistTransposeIn(const NegacyclicView &t,
         Vec row_re[W], row_im[W];
         for (unsigned w = 0; w < W; ++w) {
             // x_j = (a_j + i * a_{j+N/2}) * e^{i*pi*j/N}, same
-            // expression order as the scalar fold+twist.
+            // expression order in every lane.
             const Vec lo = V::cvtInt32(in[w] + j0);
             const Vec hi = V::cvtInt32(in[w] + j0 + half);
             row_re[w] = V::sub(V::mul(lo, tr), V::mul(hi, ti));
@@ -67,21 +65,126 @@ foldTwistTransposeIn(const NegacyclicView &t,
     }
 }
 
-/** All forward DIF butterfly stages on the interleaved layout. */
-template <class V>
+/** One radix-4 stage's twiddle streams, indexed by butterfly
+ *  position: re/im of w, w^2 and w^3. */
+struct StageTwiddles
+{
+    const double *w1r, *w1i, *w2r, *w2i, *w3r, *w3i;
+};
+
+/** One radix-4 DIF butterfly of the forward at the four quarter-block
+ *  positions p0..p3 (re and im planes), with the twiddles of butterfly
+ *  j. */
+struct ForwardButterfly
+{
+    template <class V, class P>
+    static void
+    run(P p0r, P p1r, P p2r, P p3r, P p0i, P p1i, P p2i, P p3i,
+        const StageTwiddles &w, unsigned j)
+    {
+        using Vec = typename V::Vec;
+        const Vec r0 = V::load(p0r), i0 = V::load(p0i);
+        const Vec r1 = V::load(p1r), i1 = V::load(p1i);
+        const Vec r2 = V::load(p2r), i2 = V::load(p2i);
+        const Vec r3 = V::load(p3r), i3 = V::load(p3i);
+        const Vec t0r = V::add(r0, r2), t0i = V::add(i0, i2);
+        const Vec t1r = V::sub(r0, r2), t1i = V::sub(i0, i2);
+        const Vec t2r = V::add(r1, r3), t2i = V::add(i1, i3);
+        const Vec t3r = V::sub(r1, r3), t3i = V::sub(i1, i3);
+        V::store(p0r, V::add(t0r, t2r));
+        V::store(p0i, V::add(t0i, t2i));
+        // y1 = (t1 - i*t3) * w, y2 = (t0 - t2) * w^2,
+        // y3 = (t1 + i*t3) * w^3 (forward kernel e^{-i...}).
+        const Vec y1r = V::add(t1r, t3i);
+        const Vec y1i = V::sub(t1i, t3r);
+        const Vec v1r = V::splat(w.w1r[j]), v1i = V::splat(w.w1i[j]);
+        V::store(p1r, V::sub(V::mul(y1r, v1r), V::mul(y1i, v1i)));
+        V::store(p1i, V::add(V::mul(y1r, v1i), V::mul(y1i, v1r)));
+        const Vec y2r = V::sub(t0r, t2r);
+        const Vec y2i = V::sub(t0i, t2i);
+        const Vec v2r = V::splat(w.w2r[j]), v2i = V::splat(w.w2i[j]);
+        V::store(p2r, V::sub(V::mul(y2r, v2r), V::mul(y2i, v2i)));
+        V::store(p2i, V::add(V::mul(y2r, v2i), V::mul(y2i, v2r)));
+        const Vec y3r = V::sub(t1r, t3i);
+        const Vec y3i = V::add(t1i, t3r);
+        const Vec v3r = V::splat(w.w3r[j]), v3i = V::splat(w.w3i[j]);
+        V::store(p3r, V::sub(V::mul(y3r, v3r), V::mul(y3i, v3i)));
+        V::store(p3i, V::add(V::mul(y3r, v3i), V::mul(y3i, v3r)));
+    }
+};
+
+/** One radix-4 DIT butterfly of the inverse, the exact transpose of
+ *  ForwardButterfly: u_s = y_s * conj(w^s), then the conjugate
+ *  butterfly. */
+struct InverseButterfly
+{
+    template <class V, class P>
+    static void
+    run(P p0r, P p1r, P p2r, P p3r, P p0i, P p1i, P p2i, P p3i,
+        const StageTwiddles &w, unsigned j)
+    {
+        using Vec = typename V::Vec;
+        const Vec r0 = V::load(p0r), i0 = V::load(p0i);
+        const Vec r1 = V::load(p1r), i1 = V::load(p1i);
+        const Vec r2 = V::load(p2r), i2 = V::load(p2i);
+        const Vec r3 = V::load(p3r), i3 = V::load(p3i);
+        const Vec v1r = V::splat(w.w1r[j]), v1i = V::splat(w.w1i[j]);
+        const Vec v2r = V::splat(w.w2r[j]), v2i = V::splat(w.w2i[j]);
+        const Vec v3r = V::splat(w.w3r[j]), v3i = V::splat(w.w3i[j]);
+        const Vec u1r = V::add(V::mul(r1, v1r), V::mul(i1, v1i));
+        const Vec u1i = V::sub(V::mul(i1, v1r), V::mul(r1, v1i));
+        const Vec u2r = V::add(V::mul(r2, v2r), V::mul(i2, v2i));
+        const Vec u2i = V::sub(V::mul(i2, v2r), V::mul(r2, v2i));
+        const Vec u3r = V::add(V::mul(r3, v3r), V::mul(i3, v3i));
+        const Vec u3i = V::sub(V::mul(i3, v3r), V::mul(r3, v3i));
+        const Vec t0r = V::add(r0, u2r), t0i = V::add(i0, u2i);
+        const Vec t1r = V::sub(r0, u2r), t1i = V::sub(i0, u2i);
+        const Vec t2r = V::add(u1r, u3r), t2i = V::add(u1i, u3i);
+        const Vec t3r = V::sub(u1r, u3r), t3i = V::sub(u1i, u3i);
+        V::store(p0r, V::add(t0r, t2r));
+        V::store(p0i, V::add(t0i, t2i));
+        V::store(p1r, V::sub(t1r, t3i));
+        V::store(p1i, V::add(t1i, t3r));
+        V::store(p2r, V::sub(t0r, t2r));
+        V::store(p2i, V::sub(t0i, t2i));
+        V::store(p3r, V::add(t1r, t3i));
+        V::store(p3i, V::sub(t1i, t3r));
+    }
+};
+
+/**
+ * Every butterfly of radix-4 stage `s` on the interleaved layout. At
+ * W = 1 the quarter-block pointers are hoisted out of the butterfly
+ * loop and marked __restrict, so the compiler may move a butterfly's
+ * loads above the previous one's stores (without it the W = 1 inverse
+ * is ~15% slower). The vector rungs keep per-butterfly pointers: the
+ * hoisted shape slows the AVX-512 inverse by ~7%.
+ */
+template <class V, class Butterfly>
 void
-forwardStages(const NegacyclicView &t, double *re, double *im)
+radix4Stage(const NegacyclicView &t, unsigned s, double *re, double *im)
 {
     constexpr unsigned W = V::kWidth;
-    using Vec = typename V::Vec;
-    for (unsigned s = 0; s < t.numStages; ++s) {
-        const unsigned len = t.stageLen[s];
-        const unsigned q = len / 4;
-        const double *tw = t.stageTw[s];
-        const double *w1r = tw + 0 * q, *w1i = tw + 1 * q;
-        const double *w2r = tw + 2 * q, *w2i = tw + 3 * q;
-        const double *w3r = tw + 4 * q, *w3i = tw + 5 * q;
-        for (unsigned base = 0; base < t.half; base += len) {
+    const unsigned len = t.stageLen[s];
+    const unsigned q = len / 4;
+    const double *tw = t.stageTw[s];
+    const StageTwiddles w{tw + 0 * q, tw + 1 * q, tw + 2 * q,
+                          tw + 3 * q, tw + 4 * q, tw + 5 * q};
+    for (unsigned base = 0; base < t.half; base += len) {
+        if constexpr (W == 1) {
+            double *__restrict p0r = re + base;
+            double *__restrict p1r = p0r + q;
+            double *__restrict p2r = p1r + q;
+            double *__restrict p3r = p2r + q;
+            double *__restrict p0i = im + base;
+            double *__restrict p1i = p0i + q;
+            double *__restrict p2i = p1i + q;
+            double *__restrict p3i = p2i + q;
+            for (unsigned j = 0; j < q; ++j)
+                Butterfly::template run<V, double *__restrict>(
+                    p0r + j, p1r + j, p2r + j, p3r + j, p0i + j, p1i + j,
+                    p2i + j, p3i + j, w, j);
+        } else {
             for (unsigned j = 0; j < q; ++j) {
                 double *p0r = re + (base + j) * W;
                 double *p1r = p0r + q * W;
@@ -91,36 +194,22 @@ forwardStages(const NegacyclicView &t, double *re, double *im)
                 double *p1i = p0i + q * W;
                 double *p2i = p1i + q * W;
                 double *p3i = p2i + q * W;
-                const Vec r0 = V::load(p0r), i0 = V::load(p0i);
-                const Vec r1 = V::load(p1r), i1 = V::load(p1i);
-                const Vec r2 = V::load(p2r), i2 = V::load(p2i);
-                const Vec r3 = V::load(p3r), i3 = V::load(p3i);
-                const Vec t0r = V::add(r0, r2), t0i = V::add(i0, i2);
-                const Vec t1r = V::sub(r0, r2), t1i = V::sub(i0, i2);
-                const Vec t2r = V::add(r1, r3), t2i = V::add(i1, i3);
-                const Vec t3r = V::sub(r1, r3), t3i = V::sub(i1, i3);
-                V::store(p0r, V::add(t0r, t2r));
-                V::store(p0i, V::add(t0i, t2i));
-                // y1 = (t1 - i*t3) * w, y2 = (t0 - t2) * w^2,
-                // y3 = (t1 + i*t3) * w^3 (forward kernel e^{-i...}).
-                const Vec y1r = V::add(t1r, t3i);
-                const Vec y1i = V::sub(t1i, t3r);
-                const Vec v1r = V::splat(w1r[j]), v1i = V::splat(w1i[j]);
-                V::store(p1r, V::sub(V::mul(y1r, v1r), V::mul(y1i, v1i)));
-                V::store(p1i, V::add(V::mul(y1r, v1i), V::mul(y1i, v1r)));
-                const Vec y2r = V::sub(t0r, t2r);
-                const Vec y2i = V::sub(t0i, t2i);
-                const Vec v2r = V::splat(w2r[j]), v2i = V::splat(w2i[j]);
-                V::store(p2r, V::sub(V::mul(y2r, v2r), V::mul(y2i, v2i)));
-                V::store(p2i, V::add(V::mul(y2r, v2i), V::mul(y2i, v2r)));
-                const Vec y3r = V::sub(t1r, t3i);
-                const Vec y3i = V::add(t1i, t3r);
-                const Vec v3r = V::splat(w3r[j]), v3i = V::splat(w3i[j]);
-                V::store(p3r, V::sub(V::mul(y3r, v3r), V::mul(y3i, v3i)));
-                V::store(p3i, V::add(V::mul(y3r, v3i), V::mul(y3i, v3r)));
+                Butterfly::template run<V, double *>(
+                    p0r, p1r, p2r, p3r, p0i, p1i, p2i, p3i, w, j);
             }
         }
     }
+}
+
+/** All forward DIF butterfly stages on the interleaved layout. */
+template <class V>
+void
+forwardStages(const NegacyclicView &t, double *re, double *im)
+{
+    constexpr unsigned W = V::kWidth;
+    using Vec = typename V::Vec;
+    for (unsigned s = 0; s < t.numStages; ++s)
+        radix4Stage<V, ForwardButterfly>(t, s, re, im);
     if (t.radix2Tail) {
         for (unsigned p = 0; p < t.half; p += 2) {
             double *ar = re + p * W, *br = ar + W;
@@ -156,56 +245,12 @@ inverseStages(const NegacyclicView &t, double *re, double *im)
             V::store(bi, V::sub(xi, yi));
         }
     }
-    for (unsigned s = t.numStages; s-- > 0;) {
-        const unsigned len = t.stageLen[s];
-        const unsigned q = len / 4;
-        const double *tw = t.stageTw[s];
-        const double *w1r = tw + 0 * q, *w1i = tw + 1 * q;
-        const double *w2r = tw + 2 * q, *w2i = tw + 3 * q;
-        const double *w3r = tw + 4 * q, *w3i = tw + 5 * q;
-        for (unsigned base = 0; base < t.half; base += len) {
-            for (unsigned j = 0; j < q; ++j) {
-                double *p0r = re + (base + j) * W;
-                double *p1r = p0r + q * W;
-                double *p2r = p1r + q * W;
-                double *p3r = p2r + q * W;
-                double *p0i = im + (base + j) * W;
-                double *p1i = p0i + q * W;
-                double *p2i = p1i + q * W;
-                double *p3i = p2i + q * W;
-                const Vec r0 = V::load(p0r), i0 = V::load(p0i);
-                const Vec r1 = V::load(p1r), i1 = V::load(p1i);
-                const Vec r2 = V::load(p2r), i2 = V::load(p2i);
-                const Vec r3 = V::load(p3r), i3 = V::load(p3i);
-                // u_s = y_s * conj(w^s); then the conjugate butterfly.
-                const Vec v1r = V::splat(w1r[j]), v1i = V::splat(w1i[j]);
-                const Vec v2r = V::splat(w2r[j]), v2i = V::splat(w2i[j]);
-                const Vec v3r = V::splat(w3r[j]), v3i = V::splat(w3i[j]);
-                const Vec u1r = V::add(V::mul(r1, v1r), V::mul(i1, v1i));
-                const Vec u1i = V::sub(V::mul(i1, v1r), V::mul(r1, v1i));
-                const Vec u2r = V::add(V::mul(r2, v2r), V::mul(i2, v2i));
-                const Vec u2i = V::sub(V::mul(i2, v2r), V::mul(r2, v2i));
-                const Vec u3r = V::add(V::mul(r3, v3r), V::mul(i3, v3i));
-                const Vec u3i = V::sub(V::mul(i3, v3r), V::mul(r3, v3i));
-                const Vec t0r = V::add(r0, u2r), t0i = V::add(i0, u2i);
-                const Vec t1r = V::sub(r0, u2r), t1i = V::sub(i0, u2i);
-                const Vec t2r = V::add(u1r, u3r), t2i = V::add(u1i, u3i);
-                const Vec t3r = V::sub(u1r, u3r), t3i = V::sub(u1i, u3i);
-                V::store(p0r, V::add(t0r, t2r));
-                V::store(p0i, V::add(t0i, t2i));
-                V::store(p1r, V::sub(t1r, t3i));
-                V::store(p1i, V::add(t1i, t3r));
-                V::store(p2r, V::sub(t0r, t2r));
-                V::store(p2i, V::sub(t0i, t2i));
-                V::store(p3r, V::add(t1r, t3i));
-                V::store(p3i, V::sub(t1i, t3r));
-            }
-        }
-    }
+    for (unsigned s = t.numStages; s-- > 0;)
+        radix4Stage<V, InverseButterfly>(t, s, re, im);
 }
 
 /** De-interleave the forward spectra back into each polynomial's SoA
- *  arrays (digit-reversed order, matching the scalar engine). */
+ *  arrays (digit-reversed order). */
 template <class V>
 void
 transposeOut(const NegacyclicView &t, const double *s_re,
@@ -294,9 +339,15 @@ forwardWImpl(const NegacyclicView &t, const std::int32_t *const *in,
              double *const *out_re, double *const *out_im,
              double *s_re, double *s_im)
 {
-    foldTwistTransposeIn<V>(t, in, s_re, s_im);
-    forwardStages<V>(t, s_re, s_im);
-    transposeOut<V>(t, s_re, s_im, out_re, out_im);
+    if constexpr (V::kWidth == 1) {
+        // One lane needs no interleaving: run in the output spectrum.
+        foldTwistTransposeIn<V>(t, in, out_re[0], out_im[0]);
+        forwardStages<V>(t, out_re[0], out_im[0]);
+    } else {
+        foldTwistTransposeIn<V>(t, in, s_re, s_im);
+        forwardStages<V>(t, s_re, s_im);
+        transposeOut<V>(t, s_re, s_im, out_re, out_im);
+    }
 }
 
 template <class V>

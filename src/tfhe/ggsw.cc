@@ -43,20 +43,6 @@ gadgetDecomposeScalar(Torus32 value, unsigned base_bits, unsigned levels,
 }
 
 void
-gadgetDecomposePlanned(const TorusPolynomial &poly, const GadgetPlan &plan,
-                       std::vector<IntPolynomial> &out)
-{
-    const unsigned n = poly.degree();
-    if (out.size() != plan.levels)
-        out.resize(plan.levels);
-    for (auto &p : out) {
-        if (p.degree() != n)
-            p = IntPolynomial(n);
-    }
-    gadgetDecomposePlannedInto(poly, plan, out.data());
-}
-
-void
 gadgetDecomposePlannedInto(const TorusPolynomial &poly,
                            const GadgetPlan &plan, IntPolynomial *out)
 {
@@ -78,13 +64,6 @@ gadgetDecomposePlannedInto(const TorusPolynomial &poly,
                      half;
         }
     }
-}
-
-void
-gadgetDecompose(const TorusPolynomial &poly, unsigned base_bits,
-                unsigned levels, std::vector<IntPolynomial> &out)
-{
-    gadgetDecomposePlanned(poly, makeGadgetPlan(base_bits, levels), out);
 }
 
 GgswCiphertext
@@ -131,7 +110,7 @@ FourierGgsw::fromGgsw(const GgswCiphertext &ggsw)
 
     // All (k+1)*l_b*(k+1) transforms of the key material go through one
     // batched forward call (torus coefficients read as signed 32-bit
-    // integers, as in NegacyclicFft::forward(TorusPolynomial)).
+    // integers).
     std::vector<const std::int32_t *> in;
     std::vector<FourierPolynomial *> spectra;
     for (unsigned r = 0; r < ggsw.numRows(); ++r) {
@@ -173,10 +152,10 @@ externalProductSchoolbook(const GgswCiphertext &ggsw,
              "GGSW/GLWE shape mismatch");
 
     GlweCiphertext result(k, n);
-    std::vector<IntPolynomial> digits;
+    const GadgetPlan plan = makeGadgetPlan(ggsw.baseBits(), levels);
+    std::vector<IntPolynomial> digits(levels, IntPolynomial(n));
     for (unsigned u = 0; u <= k; ++u) {
-        gadgetDecompose(input.component(u), ggsw.baseBits(), levels,
-                        digits);
+        gadgetDecomposePlannedInto(input.component(u), plan, digits.data());
         for (unsigned j = 0; j < levels; ++j) {
             const auto &row = ggsw.row(u * levels + j);
             for (unsigned c = 0; c <= k; ++c) {
@@ -265,15 +244,6 @@ externalProductFourier(const FourierGgsw &ggsw, const GlweCiphertext &input,
     fft.inverseInPlace(ws.batchAccF.data(), ws.batchTorus.data(), k + 1);
 }
 
-GlweCiphertext
-externalProductFourier(const FourierGgsw &ggsw, const GlweCiphertext &input)
-{
-    GlweCiphertext result;
-    externalProductFourier(ggsw, input, result,
-                           BootstrapWorkspace::forThisThread());
-    return result;
-}
-
 void
 cmuxRotateGroupInPlace(const FourierGgsw &ggsw, GlweCiphertext *const *accs,
                        const unsigned *powers, unsigned count,
@@ -322,16 +292,6 @@ cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
 {
     GlweCiphertext *const one = &acc;
     cmuxRotateGroupInPlace(ggsw, &one, &power, 1, ws);
-}
-
-GlweCiphertext
-cmuxRotate(const FourierGgsw &ggsw, const GlweCiphertext &input,
-           unsigned power)
-{
-    GlweCiphertext acc = input;
-    cmuxRotateInPlace(ggsw, acc, power,
-                      BootstrapWorkspace::forThisThread());
-    return acc;
 }
 
 } // namespace morphling::tfhe

@@ -43,33 +43,19 @@ struct GadgetPlan
 GadgetPlan makeGadgetPlan(unsigned base_bits, unsigned levels);
 
 /**
- * Signed gadget decomposition of one torus polynomial.
+ * Signed gadget decomposition of one torus polynomial against a
+ * prebuilt plan.
  *
- * Writes `levels` integer polynomials with digits in
+ * Writes the plan.levels digit polynomials into out[0..levels), which
+ * must already have the polynomial's degree, with digits in
  * [-beta/2, beta/2) such that
- * sum_j digits[j] * q/beta^(j+1) ~ poly (error < q / (2 beta^l)).
+ * sum_j out[j] * q/beta^(j+1) ~ poly (error < q / (2 beta^l)).
  * This is the "bit-slicing and rounding" the decomposition unit
- * performs in hardware (Section V-A1).
- */
-void gadgetDecompose(const TorusPolynomial &poly, unsigned base_bits,
-                     unsigned levels, std::vector<IntPolynomial> &out);
-
-/**
- * Hot-path decomposition against a prebuilt plan: level-outer loops of
+ * performs in hardware (Section V-A1). Level-outer loops of
  * shift/mask/subtract over the whole polynomial (auto-vectorizable),
- * no per-coefficient constant recomputation. `out` is only reshaped
- * when its geometry mismatches, so repeat calls are allocation-free.
- */
-void gadgetDecomposePlanned(const TorusPolynomial &poly,
-                            const GadgetPlan &plan,
-                            std::vector<IntPolynomial> &out);
-
-/**
- * Pointer-range variant of the planned decomposition: writes the
- * plan.levels digit polynomials into out[0..levels), which must already
- * have the polynomial's degree. Lets the workspace lay the digit
- * polynomials of all GLWE components out contiguously for one batched
- * forward FFT.
+ * no per-coefficient constant recomputation; writing into a caller
+ * range lets the workspace lay the digit polynomials of all GLWE
+ * components out contiguously for one batched forward FFT.
  */
 void gadgetDecomposePlannedInto(const TorusPolynomial &poly,
                                 const GadgetPlan &plan,
@@ -163,19 +149,13 @@ GlweCiphertext externalProductSchoolbook(const GgswCiphertext &ggsw,
 
 /**
  * Production external product through the Fourier domain:
- * decompose -> forward FFT per digit polynomial -> pointwise
- * multiply-accumulate per output component -> one inverse FFT per
- * component. Transform counts match the Input+Output-Reuse dataflow:
- * (k+1)*l_b forward + (k+1) inverse transforms.
- */
-GlweCiphertext externalProductFourier(const FourierGgsw &ggsw,
-                                      const GlweCiphertext &input);
-
-/**
- * Workspace external product: result = ggsw [.] input, with every
- * intermediate (digit polynomials, Fourier transforms, accumulator)
- * taken from `ws`. Allocation-free once `ws` and `result` are warm.
- * `result` must not alias `input`.
+ * result = ggsw [.] input by decompose -> forward FFT per digit
+ * polynomial -> pointwise multiply-accumulate per output component ->
+ * one inverse FFT per component. Transform counts match the
+ * Input+Output-Reuse dataflow: (k+1)*l_b forward + (k+1) inverse
+ * transforms. Every intermediate (digit polynomials, Fourier
+ * transforms, accumulator) is taken from `ws`; allocation-free once
+ * `ws` and `result` are warm. `result` must not alias `input`.
  */
 void externalProductFourier(const FourierGgsw &ggsw,
                             const GlweCiphertext &input,
@@ -183,17 +163,11 @@ void externalProductFourier(const FourierGgsw &ggsw,
                             BootstrapWorkspace &ws);
 
 /**
- * CMux gate: returns input + ggsw [.] (rotated(input) - input) where
- * rotated = X^power * input. One blind-rotation iteration
- * (Algorithm 1, line 4).
- */
-GlweCiphertext cmuxRotate(const FourierGgsw &ggsw,
-                          const GlweCiphertext &input, unsigned power);
-
-/**
- * In-place workspace CMux: acc += ggsw [.] (X^power * acc - acc).
- * One blind-rotation step for one ciphertext (a group of one, below);
- * allocation-free once `ws` is warm.
+ * In-place CMux gate: acc += ggsw [.] (X^power * acc - acc), which
+ * selects X^power * acc when ggsw encrypts 1 and acc when it encrypts
+ * 0. One blind-rotation iteration (Algorithm 1, line 4) for one
+ * ciphertext (a group of one, below); allocation-free once `ws` is
+ * warm.
  */
 void cmuxRotateInPlace(const FourierGgsw &ggsw, GlweCiphertext &acc,
                        unsigned power, BootstrapWorkspace &ws);

@@ -54,6 +54,53 @@ GlweCiphertext::trivial(unsigned glwe_dimension, TorusPolynomial message)
     return ct;
 }
 
+namespace {
+
+/**
+ * sum_i A_i * S_i mod X^N + 1 over the k mask/key pairs: the 2k
+ * forward transforms run as one batched call, each product is
+ * inverted on its own (k inverses, one batched call) and the rounded
+ * products are summed on the torus.
+ */
+TorusPolynomial
+maskKeyProduct(const GlweKey &key, const GlweCiphertext &ct)
+{
+    const unsigned k = key.dimension();
+    const unsigned n = ct.polyDegree();
+    const BatchFft &fft = BatchFft::forDegree(n);
+
+    std::vector<const std::int32_t *> in(2 * k);
+    std::vector<FourierPolynomial> spectra(2 * k, FourierPolynomial(n));
+    std::vector<FourierPolynomial *> spectraP(2 * k);
+    for (unsigned i = 0; i < k; ++i) {
+        // Torus coefficients read as signed 32-bit integers.
+        in[2 * i] = reinterpret_cast<const std::int32_t *>(
+            ct.component(i).data());
+        in[2 * i + 1] = key.poly(i).data();
+    }
+    for (unsigned j = 0; j < 2 * k; ++j)
+        spectraP[j] = &spectra[j];
+    fft.forward(in.data(), spectraP.data(), 2 * k);
+
+    std::vector<FourierPolynomial> prodF(k, FourierPolynomial(n));
+    std::vector<TorusPolynomial> prods(k, TorusPolynomial(n));
+    std::vector<const FourierPolynomial *> prodFP(k);
+    std::vector<TorusPolynomial *> prodsP(k);
+    for (unsigned i = 0; i < k; ++i) {
+        prodF[i].mulAddAssign(spectra[2 * i + 1], spectra[2 * i]);
+        prodFP[i] = &prodF[i];
+        prodsP[i] = &prods[i];
+    }
+    fft.inverseInPlace(prodFP.data(), prodsP.data(), k);
+
+    TorusPolynomial sum(n);
+    for (const auto &p : prods)
+        sum.addAssign(p);
+    return sum;
+}
+
+} // namespace
+
 GlweCiphertext
 GlweCiphertext::encrypt(const GlweKey &key, const TorusPolynomial &message,
                         double stddev, Rng &rng)
@@ -63,25 +110,17 @@ GlweCiphertext::encrypt(const GlweKey &key, const TorusPolynomial &message,
     panic_if(message.degree() != n, "message degree mismatch");
 
     GlweCiphertext ct(key.dimension(), n);
-    // Body starts as message + noise; the mask products are added via
-    // the FFT path (exact for binary keys: products of 0/1 by torus).
+    // Body = message + noise + sum_i A_i * S_i; the mask products go
+    // through the FFT path (exact for binary keys: products of 0/1 by
+    // torus).
     for (unsigned j = 0; j < n; ++j)
         ct.body()[j] = message[j] + gaussianTorus32(rng, stddev);
-
-    const auto &fft = NegacyclicFft::forDegree(n);
-    FourierPolynomial mask_f(n), key_f(n), acc_f(n);
-    TorusPolynomial prod(n);
     for (unsigned i = 0; i < key.dimension(); ++i) {
         auto &mask = ct.component(i);
         for (unsigned j = 0; j < n; ++j)
             mask[j] = rng.nextU32();
-        fft.forward(mask, mask_f);
-        fft.forward(key.poly(i), key_f);
-        acc_f.clear();
-        acc_f.mulAddAssign(key_f, mask_f);
-        fft.inverse(acc_f, prod);
-        ct.body().addAssign(prod);
     }
+    ct.body().addAssign(maskKeyProduct(key, ct));
     return ct;
 }
 
@@ -89,20 +128,8 @@ TorusPolynomial
 GlweCiphertext::phase(const GlweKey &key) const
 {
     panic_if(key.dimension() != dimension(), "key dimension mismatch");
-    const unsigned n = polyDegree();
-    const auto &fft = NegacyclicFft::forDegree(n);
-
     TorusPolynomial result = body();
-    FourierPolynomial mask_f(n), key_f(n), acc_f(n);
-    TorusPolynomial prod(n);
-    for (unsigned i = 0; i < dimension(); ++i) {
-        fft.forward(component(i), mask_f);
-        fft.forward(key.poly(i), key_f);
-        acc_f.clear();
-        acc_f.mulAddAssign(key_f, mask_f);
-        fft.inverse(acc_f, prod);
-        result.subAssign(prod);
-    }
+    result.subAssign(maskKeyProduct(key, *this));
     return result;
 }
 

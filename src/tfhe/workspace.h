@@ -15,8 +15,9 @@
  * when the shapes already match, so a warmed-up bootstrap through the
  * workspace entry points performs zero heap allocations (asserted by
  * tests/test_workspace.cc). A workspace is single-thread-only;
- * forThisThread() hands out one instance per thread, which the legacy
- * (workspace-free) entry points use transparently.
+ * forThisThread() hands out one instance per thread, which the
+ * workspace-free entry points (programmableBootstrap, signBootstrap,
+ * multiLutBootstrap) use transparently.
  *
  * The external-product scratch is group-shaped. A BSK-stationary
  * blind rotation (blindRotateBatch) runs one CMux step for a whole

@@ -46,7 +46,8 @@ TEST_F(BootstrapFixture, ModSwitchShape)
     const auto ct = LweCiphertext::encrypt(
         keys().lweKey, encodeMessage(1, 4),
         keys().params.lweNoiseStd, rng);
-    const auto switched = modSwitch(ct, keys().params.polyDegree);
+    std::vector<std::uint32_t> switched;
+    modSwitchInto(ct, keys().params.polyDegree, switched);
     EXPECT_EQ(switched.size(), keys().params.lweDimension + 1);
     for (auto v : switched)
         EXPECT_LT(v, 2 * keys().params.polyDegree);
@@ -57,7 +58,8 @@ TEST_F(BootstrapFixture, ModSwitchPreservesPhaseApproximately)
     const Torus32 mu = encodeMessage(1, 4);
     const auto ct = LweCiphertext::encrypt(
         keys().lweKey, mu, keys().params.lweNoiseStd, rng);
-    const auto switched = modSwitch(ct, keys().params.polyDegree);
+    std::vector<std::uint32_t> switched;
+    modSwitchInto(ct, keys().params.polyDegree, switched);
 
     // Reconstruct the phase in the 2N domain.
     const unsigned two_n = 2 * keys().params.polyDegree;
@@ -76,7 +78,8 @@ TEST_F(BootstrapFixture, TestPolynomialLayout)
 {
     const unsigned n_poly = 64;
     const std::vector<Torus32> lut = {10, 20, 30, 40};
-    const auto tp = buildTestPolynomial(n_poly, lut);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(n_poly, lut, tp);
     // Slot m spans [m*N/p - N/2p, m*N/p + N/2p); probe slot centers.
     EXPECT_EQ(tp[0], 10u);
     EXPECT_EQ(tp[16], 20u);

@@ -193,6 +193,22 @@ TEST_F(CircuitServiceFixture, CircuitsDrainOnShutdown)
     EXPECT_EQ(decryptValue(future.get()), 5u);
 }
 
+TEST_F(CircuitServiceFixture, WrongArityCircuitThrowsAndServiceKeepsRunning)
+{
+    // A caller-supplied input count is a client error: it throws at the
+    // door instead of aborting the process on a worker thread.
+    const auto c = adder(2);
+    BootstrapService service(keys(), ServiceConfig{});
+    auto short_inputs = adderInputs(1, 2, 2);
+    short_inputs.pop_back();
+    EXPECT_THROW((void)service.submitCircuit(c, short_inputs),
+                 std::invalid_argument);
+    EXPECT_EQ(service.stats().circuits, 0u);
+
+    auto future = service.submitCircuit(c, adderInputs(1, 2, 2));
+    EXPECT_EQ(decryptValue(future.get()), 3u);
+}
+
 TEST_F(CircuitServiceFixture, InvalidShardCountThrows)
 {
     // Satellite regression: numShards = 0 with the sharded backend

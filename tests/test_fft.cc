@@ -38,18 +38,46 @@ randomDigits(unsigned n, std::int32_t half_range, Rng &rng)
     return p;
 }
 
+/** Count-1 forward transform of a digit polynomial. */
+FourierPolynomial
+forwardOf(const IntPolynomial &a)
+{
+    FourierPolynomial out(a.degree());
+    const IntPolynomial *in = &a;
+    FourierPolynomial *outp = &out;
+    BatchFft::forDegree(a.degree()).forward(&in, &outp, 1);
+    return out;
+}
+
+/** Count-1 forward transform of a torus polynomial (coefficients read
+ *  as signed 32-bit integers). */
+FourierPolynomial
+forwardOf(const TorusPolynomial &b)
+{
+    FourierPolynomial out(b.degree());
+    const auto *in = reinterpret_cast<const std::int32_t *>(b.data());
+    FourierPolynomial *outp = &out;
+    BatchFft::forDegree(b.degree()).forward(&in, &outp, 1);
+    return out;
+}
+
+/** Count-1 inverse transform back onto the torus. */
+TorusPolynomial
+inverseOf(const FourierPolynomial &f)
+{
+    TorusPolynomial out(f.ringDegree());
+    const FourierPolynomial *in = &f;
+    TorusPolynomial *outp = &out;
+    BatchFft::forDegree(f.ringDegree()).inverseInPlace(&in, &outp, 1);
+    return out;
+}
+
 TorusPolynomial
 fourierProduct(const IntPolynomial &a, const TorusPolynomial &b)
 {
-    const unsigned n = a.degree();
-    const auto &fft = NegacyclicFft::forDegree(n);
-    FourierPolynomial fa(n), fb(n), fc(n);
-    fft.forward(a, fa);
-    fft.forward(b, fb);
-    fc.mulAddAssign(fa, fb);
-    TorusPolynomial out(n);
-    fft.inverse(fc, out);
-    return out;
+    FourierPolynomial fc(a.degree());
+    fc.mulAddAssign(forwardOf(a), forwardOf(b));
+    return inverseOf(fc);
 }
 
 double
@@ -119,17 +147,14 @@ TEST(Fft, ForwardIsLinear)
 {
     const unsigned n = 128;
     Rng rng(23);
-    const auto &fft = NegacyclicFft::forDegree(n);
     const auto a = randomDigits(n, 100, rng);
     const auto b = randomDigits(n, 100, rng);
     IntPolynomial sum(n);
     for (unsigned i = 0; i < n; ++i)
         sum[i] = a[i] + b[i];
 
-    FourierPolynomial fa(n), fb(n), fsum(n);
-    fft.forward(a, fa);
-    fft.forward(b, fb);
-    fft.forward(sum, fsum);
+    const FourierPolynomial fa = forwardOf(a), fb = forwardOf(b),
+                            fsum = forwardOf(sum);
     for (unsigned i = 0; i < fa.size(); ++i) {
         EXPECT_NEAR(fsum.re(i), fa.re(i) + fb.re(i),
                     1e-6 * (1.0 + std::abs(fsum.re(i))));
@@ -144,7 +169,6 @@ TEST(Fft, AccumulationInTransformDomainMatchesCoefficientDomain)
     // equals sum of IFFT(products).
     const unsigned n = 256;
     Rng rng(29);
-    const auto &fft = NegacyclicFft::forDegree(n);
 
     const int terms = 6;
     FourierPolynomial acc(n);
@@ -152,15 +176,10 @@ TEST(Fft, AccumulationInTransformDomainMatchesCoefficientDomain)
     for (int t = 0; t < terms; ++t) {
         const auto a = randomDigits(n, 128, rng);
         const auto b = randomTorusPoly(n, rng);
-        FourierPolynomial fa(n), fb(n);
-        fft.forward(a, fa);
-        fft.forward(b, fb);
-        acc.mulAddAssign(fa, fb);
+        acc.mulAddAssign(forwardOf(a), forwardOf(b));
         negacyclicMulAddSchoolbook(expected, a, b);
     }
-    TorusPolynomial out(n);
-    fft.inverse(acc, out);
-    EXPECT_LT(maxTorusError(out, expected), 1.0 / (1 << 24));
+    EXPECT_LT(maxTorusError(inverseOf(acc), expected), 1.0 / (1 << 24));
 }
 
 TEST(Fft, LargeSingleLevelDigitsStayWithinNoiseBudget)
@@ -187,18 +206,15 @@ TEST(Fft, LargeSingleLevelDigitsStayWithinNoiseBudget)
 TEST(Fft, InverseOfZeroIsZero)
 {
     const unsigned n = 64;
-    const auto &fft = NegacyclicFft::forDegree(n);
-    FourierPolynomial zero(n);
-    TorusPolynomial out(n);
-    fft.inverse(zero, out);
+    const TorusPolynomial out = inverseOf(FourierPolynomial(n));
     for (unsigned i = 0; i < n; ++i)
         EXPECT_EQ(out[i], 0u);
 }
 
 TEST(Fft, EngineCacheReturnsSameInstancePerThread)
 {
-    const auto &a = NegacyclicFft::forDegree(512);
-    const auto &b = NegacyclicFft::forDegree(512);
+    const auto &a = BatchFft::forDegree(512);
+    const auto &b = BatchFft::forDegree(512);
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(a.ringDegree(), 512u);
 }

@@ -206,12 +206,13 @@ TEST_F(FunctionalXpuFixture, BlindRotationDecryptsCorrectly)
     const auto lut = makePaddedLut(space, [](std::uint32_t m) {
         return (m + 1) % 4;
     });
-    const auto tp = buildTestPolynomial(keys().params.polyDegree, lut);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(keys().params.polyDegree, lut, tp);
 
     for (std::uint32_t m = 0; m < space; ++m) {
         const auto ct = encryptPadded(keys(), m, space, rng);
-        const auto switched =
-            modSwitch(ct, keys().params.polyDegree);
+        std::vector<std::uint32_t> switched;
+        modSwitchInto(ct, keys().params.polyDegree, switched);
         const auto acc = xpu.runBlindRotate(tp, switched);
         const auto out = keys().ksk.apply(acc.sampleExtract());
         EXPECT_EQ(decryptPadded(keys(), out, space), (m + 1) % 4)
@@ -229,25 +230,26 @@ TEST_F(FunctionalXpuFixture, MatchesLibraryBlindRotation)
     const auto lut = makePaddedLut(4, [](std::uint32_t m) {
         return m;
     });
-    const auto tp = buildTestPolynomial(keys().params.polyDegree, lut);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(keys().params.polyDegree, lut, tp);
     const auto ct = encryptPadded(keys(), 2, 4, rng);
-    const auto switched = modSwitch(ct, keys().params.polyDegree);
+    std::vector<std::uint32_t> switched;
+    modSwitchInto(ct, keys().params.polyDegree, switched);
 
-    // Reference library path needs the Fourier-domain BSK derived from
-    // the SAME raw GGSWs.
-    std::vector<FourierGgsw> lib_bsk;
-    // (BootstrapKey regenerates; instead run blindRotate manually.)
+    // The reference library path needs the Fourier-domain BSK derived
+    // from the SAME raw GGSWs, so run the blind rotation by hand.
     GlweCiphertext ref = GlweCiphertext::trivial(
         keys().params.glweDimension, tp);
     const unsigned two_n = 2 * keys().params.polyDegree;
     const unsigned n = keys().params.lweDimension;
     ref = ref.mulByXPower((two_n - switched[n] % two_n) % two_n);
+    BootstrapWorkspace ws;
     for (unsigned i = 0; i < n; ++i) {
         const unsigned a_tilde = switched[i] % two_n;
         if (a_tilde == 0)
             continue;
-        ref = cmuxRotate(FourierGgsw::fromGgsw((*raw_bsk_)[i]), ref,
-                         a_tilde);
+        cmuxRotateInPlace(FourierGgsw::fromGgsw((*raw_bsk_)[i]), ref,
+                          a_tilde, ws);
     }
 
     const auto got = xpu.runBlindRotate(tp, switched);
@@ -270,16 +272,14 @@ TEST_F(FunctionalXpuFixture, BatchSharesBskAcrossRows)
     const auto lut = makePaddedLut(space, [](std::uint32_t m) {
         return m;
     });
-    const auto tp = buildTestPolynomial(keys().params.polyDegree, lut);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(keys().params.polyDegree, lut, tp);
 
-    std::vector<std::vector<std::uint32_t>> batch;
     std::vector<std::uint32_t> messages = {0, 1, 2, 3};
-    std::vector<LweCiphertext> cts;
-    for (auto m : messages) {
-        cts.push_back(encryptPadded(keys(), m, space, rng));
-        batch.push_back(
-            modSwitch(cts.back(), keys().params.polyDegree));
-    }
+    std::vector<std::vector<std::uint32_t>> batch(messages.size());
+    for (std::size_t i = 0; i < messages.size(); ++i)
+        modSwitchInto(encryptPadded(keys(), messages[i], space, rng),
+                      keys().params.polyDegree, batch[i]);
 
     const auto accs = xpu.runBlindRotateBatch(tp, batch);
     ASSERT_EQ(accs.size(), 4u);
@@ -298,9 +298,11 @@ TEST_F(FunctionalXpuFixture, DatapathCountersMatchClosedForm)
     const auto lut = makePaddedLut(4, [](std::uint32_t m) {
         return m;
     });
-    const auto tp = buildTestPolynomial(keys().params.polyDegree, lut);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(keys().params.polyDegree, lut, tp);
     const auto ct = encryptPadded(keys(), 1, 4, rng);
-    const auto switched = modSwitch(ct, keys().params.polyDegree);
+    std::vector<std::uint32_t> switched;
+    modSwitchInto(ct, keys().params.polyDegree, switched);
     xpu.runBlindRotate(tp, switched);
 
     const auto after = xpu.stats();

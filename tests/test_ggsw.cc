@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "tfhe/ggsw.h"
 #include "tfhe/params.h"
+#include "tfhe/workspace.h"
 
 namespace morphling::tfhe {
 namespace {
@@ -71,9 +72,9 @@ TEST(GadgetDecompose, PolynomialMatchesScalar)
     TorusPolynomial poly(n);
     for (unsigned i = 0; i < n; ++i)
         poly[i] = rng.nextU32();
-    std::vector<IntPolynomial> out;
-    gadgetDecompose(poly, base_bits, levels, out);
-    ASSERT_EQ(out.size(), levels);
+    std::vector<IntPolynomial> out(levels, IntPolynomial(n));
+    gadgetDecomposePlannedInto(poly, makeGadgetPlan(base_bits, levels),
+                               out.data());
     std::int32_t digits[3];
     for (unsigned i = 0; i < n; ++i) {
         gadgetDecomposeScalar(poly[i], base_bits, levels, digits);
@@ -146,7 +147,9 @@ TEST_F(GgswFixture, FourierMatchesSchoolbook)
     const auto ct = encryptRandom(4, nullptr);
 
     const auto ref = externalProductSchoolbook(ggsw, ct);
-    const auto got = externalProductFourier(fourier, ct);
+    BootstrapWorkspace ws;
+    GlweCiphertext got;
+    externalProductFourier(fourier, ct, got, ws);
     for (unsigned c = 0; c <= params.glweDimension; ++c) {
         for (unsigned i = 0; i < params.polyDegree; ++i) {
             EXPECT_LT(torusDistance(got.component(c)[i],
@@ -166,7 +169,9 @@ TEST_F(GgswFixture, CmuxSelectsBetweenRotatedAndOriginal)
     // Selector 0: output == input.
     const auto sel0 = FourierGgsw::fromGgsw(
         GgswCiphertext::encrypt(key, 0, params.glweNoiseStd, rng));
-    const auto keep = cmuxRotate(sel0, ct, power);
+    BootstrapWorkspace ws;
+    GlweCiphertext keep = ct;
+    cmuxRotateInPlace(sel0, keep, power, ws);
     const auto keep_phase = keep.phase(key);
     for (unsigned i = 0; i < message.degree(); ++i)
         EXPECT_EQ(decodeMessage(keep_phase[i], 4),
@@ -175,7 +180,8 @@ TEST_F(GgswFixture, CmuxSelectsBetweenRotatedAndOriginal)
     // Selector 1: output == X^power * input.
     const auto sel1 = FourierGgsw::fromGgsw(
         GgswCiphertext::encrypt(key, 1, params.glweNoiseStd, rng));
-    const auto rot = cmuxRotate(sel1, ct, power);
+    GlweCiphertext rot = ct;
+    cmuxRotateInPlace(sel1, rot, power, ws);
     const auto rot_phase = rot.phase(key);
     const auto expected = message.mulByXPower(power);
     for (unsigned i = 0; i < message.degree(); ++i)
@@ -191,12 +197,13 @@ TEST_F(GgswFixture, ChainedCmuxAccumulatesRotations)
     auto acc = encryptRandom(4, &message);
     const unsigned n_poly = params.polyDegree;
     unsigned total = 0;
+    BootstrapWorkspace ws;
     const unsigned powers[] = {3, 0, 11, 7};
     const int bits[] = {1, 1, 0, 1};
     for (int step = 0; step < 4; ++step) {
         const auto sel = FourierGgsw::fromGgsw(GgswCiphertext::encrypt(
             key, bits[step], params.glweNoiseStd, rng));
-        acc = cmuxRotate(sel, acc, powers[step]);
+        cmuxRotateInPlace(sel, acc, powers[step], ws);
         if (bits[step])
             total += powers[step];
     }

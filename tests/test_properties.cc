@@ -112,7 +112,8 @@ TEST_P(ParamSweep, ModSwitchPhaseConsistency)
         const Torus32 mu = rng.nextU32();
         const auto ct = LweCiphertext::encrypt(
             key, mu, params().lweNoiseStd, rng);
-        const auto switched = modSwitch(ct, params().polyDegree);
+        std::vector<std::uint32_t> switched;
+        modSwitchInto(ct, params().polyDegree, switched);
 
         std::uint64_t acc = switched[params().lweDimension];
         for (unsigned i = 0; i < params().lweDimension; ++i) {

@@ -504,7 +504,8 @@ TEST(ZeroAlloc, WarmBootstrapWithInactiveSessionDoesNotAllocate)
     const KeySet keys = KeySet::generate(params, rng);
     const auto lut =
         makePaddedLut(4, [](std::uint32_t m) { return m; });
-    const auto tp = buildTestPolynomial(params.polyDegree, lut);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(params.polyDegree, lut, tp);
     const auto ct = encryptPadded(keys, 1, 4, rng);
 
     auto &ws = BootstrapWorkspace::forThisThread();
@@ -531,7 +532,8 @@ TEST(ZeroAlloc, WarmBootstrapWithActiveSessionDoesNotAllocate)
     const KeySet keys = KeySet::generate(params, rng);
     const auto lut =
         makePaddedLut(4, [](std::uint32_t m) { return m; });
-    const auto tp = buildTestPolynomial(params.polyDegree, lut);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(params.polyDegree, lut, tp);
     const auto ct = encryptPadded(keys, 1, 4, rng);
 
     auto &ws = BootstrapWorkspace::forThisThread();

@@ -14,6 +14,9 @@
  *    blocks until refill, and a circuit costing more than the bucket
  *    depth is admitted against a full bucket (negative balance)
  *    instead of blocking forever;
+ *  - malformed circuits: a wrong input count throws before the
+ *    tenant's bucket is charged, and other tenants keep getting
+ *    correct results;
  *  - key rotation: re-adding a tenant with different keys drains and
  *    tears down its live service, so the next submission evaluates
  *    under the rotated keys, not the stale ones;
@@ -380,6 +383,58 @@ TEST_F(TenantFixture, OversizedCircuitAdmitsAgainstSmallBucket)
              << i;
     }
     EXPECT_EQ(v, x + y);
+}
+
+TEST_F(TenantFixture, WrongArityCircuitThrowsWithoutChargingBucket)
+{
+    telemetry::MetricsRegistry metrics;
+    MultiTenantConfig config;
+    config.service = smallService();
+    config.metrics = &metrics;
+    MultiTenantService front(config);
+
+    // Two tokens and a refill too slow to matter within the test: a
+    // charged bucket would bounce the fail-fast submission below.
+    TenantQuota quota;
+    quota.ratePerSec = 0.01;
+    quota.burst = 2;
+    front.addTenant("mallory", evalA(), quota);
+    front.addTenant("bob", evalB());
+    const LutId lut = front.registerLut("mallory", plusOneLut());
+
+    // Two inputs, two bootstraps: it would drain mallory's bucket.
+    circuit::Circuit c;
+    const auto x = c.bitInput();
+    const auto y = c.bitInput();
+    const auto z = c.gate(tfhe::BoolGate::And, x, y);
+    c.markOutput(c.gate(tfhe::BoolGate::Xor, z, x));
+    ASSERT_EQ(c.bootstrapCount(), 2u);
+
+    std::vector<LweCiphertext> one_input{
+        tfhe::encryptBit(keysA(), true, rng)};
+    EXPECT_THROW((void)front.submitCircuit("mallory", c, one_input),
+                 std::invalid_argument);
+    EXPECT_EQ(front.stats("mallory").submitted, 0u);
+    auto f = front.trySubmit("mallory", encryptA(1), lut);
+    ASSERT_TRUE(f.has_value()) << "the rejected circuit drew tokens";
+    EXPECT_EQ(front.stats("mallory").throttled, 0u);
+
+    // Another tenant's circuit still evaluates correctly.
+    for (const bool bx : {false, true}) {
+        for (const bool by : {false, true}) {
+            auto g = front.submitCircuit(
+                "bob", c,
+                {tfhe::encryptBit(keysB(), bx, rng),
+                 tfhe::encryptBit(keysB(), by, rng)});
+            ASSERT_EQ(g.wait_for(60s), std::future_status::ready);
+            const auto out = g.get();
+            ASSERT_EQ(out.size(), 1u);
+            EXPECT_EQ(tfhe::decryptBit(keysB(), out[0]), (bx && by) != bx)
+                << bx << by;
+        }
+    }
+    ASSERT_EQ(f->wait_for(60s), std::future_status::ready);
+    EXPECT_EQ(tfhe::decryptPadded(keysA(), f->get(), kSpace), 2u);
 }
 
 TEST_F(TenantFixture, KeyRotationRefreshesLiveService)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the zero-allocation bootstrap hot path: workspace vs.
- * legacy entry-point equivalence (exact integer equality), the radix-4
- * FFT engine against the radix-2 reference, the planned gadget
+ * workspace-free entry-point equivalence (exact integer equality), the
+ * negacyclic FFT engine on every dispatch tier against the radix-2
+ * reference and the forced scalar tier, the planned gadget
  * decomposition and in-place rotations against their scalar originals,
  * the BSK-stationary group blind rotation against a per-ciphertext
  * reference, and an operator-new hook asserting that a warmed-up
@@ -131,47 +132,133 @@ randomTorusPoly(unsigned n, Rng &rng)
     return p;
 }
 
-// ---------------------------------------------------------------------
-// Radix-4 engine vs. the radix-2 reference.
-//
-// The radix-4 engine emits its spectrum in digit-reversed order; the
-// permutation is recovered numerically (a complex exponential of
-// frequency k transforms to a single peak at whatever index the engine
-// stores bin k at), asserted to be a bijection, and then used to
-// compare against the natural-order radix-2 reference.
-// ---------------------------------------------------------------------
-
-std::vector<unsigned>
-probePermutation(const Radix4Fft &fft)
+/** Force a tier for one scope, then drop back to the env/auto choice. */
+struct DispatchGuard
 {
-    const unsigned m = fft.size();
-    std::vector<unsigned> perm(m, m);
-    std::vector<bool> hit(m, false);
-    std::vector<double> re(m), im(m);
-    for (unsigned k = 0; k < m; ++k) {
-        for (unsigned j = 0; j < m; ++j) {
-            const double angle = 2.0 * M_PI * static_cast<double>(k) *
-                                 static_cast<double>(j) /
-                                 static_cast<double>(m);
-            re[j] = std::cos(angle);
-            im[j] = std::sin(angle);
-        }
-        fft.forwardPermuted(re.data(), im.data());
-        unsigned peak = m;
-        for (unsigned t = 0; t < m; ++t) {
-            if (std::abs(re[t]) > m / 2.0) {
-                EXPECT_EQ(peak, m) << "two peaks for frequency " << k;
-                peak = t;
-            }
-        }
-        EXPECT_LT(peak, m) << "no peak for frequency " << k;
-        perm[k] = peak;
-        EXPECT_FALSE(hit[peak]) << "permutation not injective at " << k;
-        hit[peak] = true;
-    }
-    return perm;
+    explicit DispatchGuard(FftDispatchTier t) { forceFftDispatchTier(t); }
+    ~DispatchGuard() { resetFftDispatchTier(); }
+};
+
+IntPolynomial
+randomIntPoly(unsigned n, Rng &rng)
+{
+    IntPolynomial p(n);
+    for (unsigned i = 0; i < n; ++i)
+        p[i] = static_cast<std::int32_t>(rng.nextU32());
+    return p;
 }
 
+std::vector<IntPolynomial>
+randomIntPolys(unsigned count, unsigned n, Rng &rng)
+{
+    std::vector<IntPolynomial> polys;
+    for (unsigned i = 0; i < count; ++i)
+        polys.push_back(randomIntPoly(n, rng));
+    return polys;
+}
+
+/** One batched forward call over all of `polys` (the dispatch ladder
+ *  picks the rungs). */
+std::vector<FourierPolynomial>
+forwardAll(const BatchFft &bfft, const std::vector<IntPolynomial> &polys)
+{
+    std::vector<FourierPolynomial> out(polys.size(),
+                                       FourierPolynomial(bfft.ringDegree()));
+    std::vector<const IntPolynomial *> in;
+    std::vector<FourierPolynomial *> outP;
+    for (std::size_t i = 0; i < polys.size(); ++i) {
+        in.push_back(&polys[i]);
+        outP.push_back(&out[i]);
+    }
+    bfft.forward(in.data(), outP.data(), static_cast<unsigned>(in.size()));
+    return out;
+}
+
+/** One batched inverse call over all of `spectra`. */
+std::vector<TorusPolynomial>
+inverseAll(const BatchFft &bfft, const std::vector<FourierPolynomial> &spectra)
+{
+    std::vector<TorusPolynomial> out(spectra.size(),
+                                     TorusPolynomial(bfft.ringDegree()));
+    std::vector<const FourierPolynomial *> in;
+    std::vector<TorusPolynomial *> outP;
+    for (std::size_t i = 0; i < spectra.size(); ++i) {
+        in.push_back(&spectra[i]);
+        outP.push_back(&out[i]);
+    }
+    bfft.inverseInPlace(in.data(), outP.data(),
+                        static_cast<unsigned>(in.size()));
+    return out;
+}
+
+// ---------------------------------------------------------------------
+// The negacyclic engine vs. the radix-2 reference, on every tier.
+//
+// The engine emits its spectrum in digit-reversed order. binPosition()
+// computes that permutation from the algorithm, independently of the
+// engine: the reference spectrum is the fold + twist done by hand,
+// followed by ComplexFft in natural order.
+// ---------------------------------------------------------------------
+
+/** Where the forward of an m-point transform stores bin k. A radix-4
+ *  DIF stage sends bin k to quarter k mod 4 and recurses on bin k / 4
+ *  inside that quarter (base-4 digit reversal); the twiddle-free
+ *  radix-2 tail, left when log2(m) is odd, keeps its two bins in
+ *  order. */
+unsigned
+binPosition(unsigned k, unsigned m)
+{
+    if (m <= 2)
+        return k;
+    return (k % 4) * (m / 4) + binPosition(k / 4, m / 4);
+}
+
+/** The negacyclic spectrum of `poly` in natural bin order: x_j =
+ *  (a_j + i a_{j+N/2}) e^{i pi j/N}, then the radix-2 reference. */
+void
+referenceSpectrum(const IntPolynomial &poly, std::vector<double> &re,
+                  std::vector<double> &im)
+{
+    const unsigned n = poly.degree(), half = n / 2;
+    re.assign(half, 0.0);
+    im.assign(half, 0.0);
+    for (unsigned j = 0; j < half; ++j) {
+        const double angle =
+            M_PI * static_cast<double>(j) / static_cast<double>(n);
+        const double lo = poly[j], hi = poly[j + half];
+        re[j] = lo * std::cos(angle) - hi * std::sin(angle);
+        im[j] = lo * std::sin(angle) + hi * std::cos(angle);
+    }
+    ComplexFft(half).forward(re.data(), im.data());
+}
+
+/** `spectrum` equals the reference spectrum of `poly` up to the
+ *  engine permutation, within a tolerance scaled to the largest bin
+ *  (a wrong permutation is off by the size of a bin). */
+::testing::AssertionResult
+matchesReference(const IntPolynomial &poly,
+                 const FourierPolynomial &spectrum)
+{
+    std::vector<double> re, im;
+    referenceSpectrum(poly, re, im);
+    const unsigned m = static_cast<unsigned>(re.size());
+    double peak = 1.0;
+    for (unsigned k = 0; k < m; ++k)
+        peak = std::max({peak, std::abs(re[k]), std::abs(im[k])});
+    const double tol = 1e-13 * m * peak;
+    for (unsigned k = 0; k < m; ++k) {
+        const unsigned at = binPosition(k, m);
+        if (std::abs(spectrum.re(at) - re[k]) > tol ||
+            std::abs(spectrum.im(at) - im[k]) > tol)
+            return ::testing::AssertionFailure()
+                   << "bin " << k << " (stored at " << at << "): got ("
+                   << spectrum.re(at) << ", " << spectrum.im(at)
+                   << "), want (" << re[k] << ", " << im[k] << ")";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Parameter: the folded transform size m = N/2. */
 class Radix4Sizes : public ::testing::TestWithParam<unsigned>
 {
 };
@@ -179,79 +266,94 @@ class Radix4Sizes : public ::testing::TestWithParam<unsigned>
 TEST_P(Radix4Sizes, ForwardMatchesRadix2UpToPermutation)
 {
     const unsigned m = GetParam();
-    const Radix4Fft r4(m);
-    const ComplexFft r2(m);
-    const auto perm = probePermutation(r4);
-
-    Rng rng(100 + m);
-    std::vector<double> re(m), im(m), re4(m), im4(m);
-    for (unsigned j = 0; j < m; ++j) {
-        re[j] = rng.nextDouble() * 2.0 - 1.0;
-        im[j] = rng.nextDouble() * 2.0 - 1.0;
-        re4[j] = re[j];
-        im4[j] = im[j];
-    }
-    r2.forward(re.data(), im.data());
-    r4.forwardPermuted(re4.data(), im4.data());
-    for (unsigned k = 0; k < m; ++k) {
-        EXPECT_NEAR(re4[perm[k]], re[k], 1e-9 * m) << "bin " << k;
-        EXPECT_NEAR(im4[perm[k]], im[k], 1e-9 * m) << "bin " << k;
+    const BatchFft bfft(2 * m);
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        Rng rng(100 + m);
+        for (const unsigned count : {1u, 9u}) {
+            const auto polys = randomIntPolys(count, 2 * m, rng);
+            const auto spectra = forwardAll(bfft, polys);
+            for (unsigned i = 0; i < count; ++i)
+                EXPECT_TRUE(matchesReference(polys[i], spectra[i]))
+                    << fftDispatchTierName(tier) << " count " << count
+                    << " poly " << i;
+        }
     }
 }
 
 TEST_P(Radix4Sizes, InverseMatchesRadix2UpToPermutation)
 {
+    // Reference spectra placed in engine order must invert back to
+    // their polynomials (the rounding absorbs the last-ulp differences
+    // between the two FFTs).
     const unsigned m = GetParam();
-    const Radix4Fft r4(m);
-    const ComplexFft r2(m);
-    const auto perm = probePermutation(r4);
-
-    Rng rng(200 + m);
-    std::vector<double> re(m), im(m), re4(m), im4(m);
-    for (unsigned k = 0; k < m; ++k) {
-        re[k] = rng.nextDouble() * 2.0 - 1.0;
-        im[k] = rng.nextDouble() * 2.0 - 1.0;
-    }
-    for (unsigned k = 0; k < m; ++k) {
-        re4[perm[k]] = re[k];
-        im4[perm[k]] = im[k];
-    }
-    r2.inverse(re.data(), im.data());
-    r4.inversePermuted(re4.data(), im4.data());
-    for (unsigned j = 0; j < m; ++j) {
-        EXPECT_NEAR(re4[j], re[j], 1e-9 * m) << "index " << j;
-        EXPECT_NEAR(im4[j], im[j], 1e-9 * m) << "index " << j;
+    const BatchFft bfft(2 * m);
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        Rng rng(200 + m);
+        for (const unsigned count : {1u, 9u}) {
+            const auto polys = randomIntPolys(count, 2 * m, rng);
+            std::vector<FourierPolynomial> spectra(
+                count, FourierPolynomial(2 * m));
+            std::vector<double> re, im;
+            for (unsigned i = 0; i < count; ++i) {
+                referenceSpectrum(polys[i], re, im);
+                for (unsigned k = 0; k < m; ++k) {
+                    spectra[i].re(binPosition(k, m)) = re[k];
+                    spectra[i].im(binPosition(k, m)) = im[k];
+                }
+            }
+            const auto back = inverseAll(bfft, spectra);
+            for (unsigned i = 0; i < count; ++i)
+                for (unsigned j = 0; j < 2 * m; ++j)
+                    ASSERT_EQ(back[i][j], static_cast<Torus32>(polys[i][j]))
+                        << fftDispatchTierName(tier) << " count " << count
+                        << " poly " << i << " coeff " << j;
+        }
     }
 }
 
 TEST_P(Radix4Sizes, RoundtripIsScaledIdentity)
 {
+    // The inverse carries the 1/m scale of the unscaled core, so a
+    // forward + inverse round trip gives back the polynomial exactly.
     const unsigned m = GetParam();
-    const Radix4Fft r4(m);
-    Rng rng(300 + m);
-    std::vector<double> re(m), im(m), orig_re(m), orig_im(m);
-    for (unsigned j = 0; j < m; ++j) {
-        re[j] = orig_re[j] = rng.nextDouble() * 1e3;
-        im[j] = orig_im[j] = rng.nextDouble() * 1e3;
-    }
-    r4.forwardPermuted(re.data(), im.data());
-    r4.inversePermuted(re.data(), im.data());
-    for (unsigned j = 0; j < m; ++j) {
-        EXPECT_NEAR(re[j], m * orig_re[j], 1e-6 * m);
-        EXPECT_NEAR(im[j], m * orig_im[j], 1e-6 * m);
+    const BatchFft bfft(2 * m);
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        Rng rng(300 + m);
+        for (const unsigned count : {1u, 9u}) {
+            const auto polys = randomIntPolys(count, 2 * m, rng);
+            const auto back = inverseAll(bfft, forwardAll(bfft, polys));
+            for (unsigned i = 0; i < count; ++i)
+                for (unsigned j = 0; j < 2 * m; ++j)
+                    ASSERT_EQ(back[i][j], static_cast<Torus32>(polys[i][j]))
+                        << fftDispatchTierName(tier) << " count " << count
+                        << " poly " << i << " coeff " << j;
+        }
     }
 }
 
 TEST_P(Radix4Sizes, ImpulseTransformsToFlatSpectrum)
 {
     const unsigned m = GetParam();
-    const Radix4Fft r4(m);
-    std::vector<double> re(m, 0.0), im(m, 0.0);
-    re[0] = 1.0;
-    r4.forwardPermuted(re.data(), im.data());
-    for (unsigned t = 0; t < m; ++t) {
-        EXPECT_NEAR(re[t], 1.0, 1e-12);
-        EXPECT_NEAR(im[t], 0.0, 1e-12);
+    const BatchFft bfft(2 * m);
+    IntPolynomial impulse(2 * m);
+    impulse[0] = 1;
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        for (const unsigned count : {1u, 9u}) {
+            const auto spectra = forwardAll(
+                bfft, std::vector<IntPolynomial>(count, impulse));
+            for (unsigned i = 0; i < count; ++i) {
+                for (unsigned t = 0; t < m; ++t) {
+                    ASSERT_EQ(spectra[i].re(t), 1.0)
+                        << fftDispatchTierName(tier) << " bin " << t;
+                    ASSERT_EQ(spectra[i].im(t), 0.0)
+                        << fftDispatchTierName(tier) << " bin " << t;
+                }
+            }
+        }
     }
 }
 
@@ -260,7 +362,7 @@ INSTANTIATE_TEST_SUITE_P(PowersOfTwo, Radix4Sizes,
 
 TEST(Radix4, SchoolbookVsFourierExternalProduct)
 {
-    // End-to-end cross-check through the negacyclic wrapper: the
+    // End-to-end cross-check through the negacyclic engine: the
     // Fourier external product (radix-4 underneath) against the exact
     // O(N^2) schoolbook product.
     const auto &params = paramsTest();
@@ -275,7 +377,9 @@ TEST(Radix4, SchoolbookVsFourierExternalProduct)
         input.component(c) = randomTorusPoly(params.polyDegree, rng);
 
     const auto exact = externalProductSchoolbook(ggsw, input);
-    const auto viaFft = externalProductFourier(fggsw, input);
+    BootstrapWorkspace ws;
+    GlweCiphertext viaFft;
+    externalProductFourier(fggsw, input, viaFft, ws);
     for (unsigned c = 0; c <= params.glweDimension; ++c) {
         for (unsigned i = 0; i < params.polyDegree; ++i) {
             EXPECT_LT(torusDistance(viaFft.component(c)[i],
@@ -287,7 +391,7 @@ TEST(Radix4, SchoolbookVsFourierExternalProduct)
 }
 
 // ---------------------------------------------------------------------
-// Workspace vs. legacy equivalence (exact integer equality).
+// Workspace stages vs. their references (exact integer equality).
 // ---------------------------------------------------------------------
 
 TEST(Workspace, PlannedDecompositionMatchesScalar)
@@ -298,8 +402,8 @@ TEST(Workspace, PlannedDecompositionMatchesScalar)
         const auto plan = makeGadgetPlan(base_bits, levels);
         const auto poly = randomTorusPoly(256, rng);
 
-        std::vector<IntPolynomial> planned;
-        gadgetDecomposePlanned(poly, plan, planned);
+        std::vector<IntPolynomial> planned(levels, IntPolynomial(256));
+        gadgetDecomposePlannedInto(poly, plan, planned.data());
 
         std::vector<std::int32_t> digits(levels);
         for (unsigned c = 0; c < poly.degree(); ++c) {
@@ -332,8 +436,10 @@ TEST(Workspace, InPlaceRotationsMatchAllocatingOnes)
     }
 }
 
-TEST(Workspace, ExternalProductAndCmuxMatchLegacy)
+TEST(Workspace, CmuxMatchesExternalProductOfRotateDiff)
 {
+    // acc += ggsw [.] (X^a * acc - acc), spelled out through the
+    // workspace external product, must equal the in-place CMux.
     const auto &params = paramsTest();
     Rng rng(0xE4E4);
     const auto key = GlweKey::generate(params, rng);
@@ -345,24 +451,24 @@ TEST(Workspace, ExternalProductAndCmuxMatchLegacy)
         input.component(c) = randomTorusPoly(params.polyDegree, rng);
 
     BootstrapWorkspace ws;
-    GlweCiphertext result;
-    externalProductFourier(fggsw, input, result, ws);
-    const auto legacy = externalProductFourier(fggsw, input);
+    GlweCiphertext diff(params.glweDimension, params.polyDegree), prod;
     for (unsigned c = 0; c <= params.glweDimension; ++c)
-        EXPECT_EQ(result.component(c), legacy.component(c));
+        input.component(c).rotateDiffInto(37, diff.component(c));
+    externalProductFourier(fggsw, diff, prod, ws);
+    GlweCiphertext want = input;
+    want.addAssign(prod);
 
     GlweCiphertext acc = input;
     cmuxRotateInPlace(fggsw, acc, 37, ws);
-    const auto legacy_cmux = cmuxRotate(fggsw, input, 37);
     for (unsigned c = 0; c <= params.glweDimension; ++c)
-        EXPECT_EQ(acc.component(c), legacy_cmux.component(c));
+        EXPECT_EQ(acc.component(c), want.component(c));
 }
 
 TEST(Workspace, BootstrapMatchesLegacyAcrossParameterSets)
 {
     // One shared workspace reshaped across three geometries (k=1 N=512,
     // k=3 N=512, k=2 N=1024): every explicit-workspace bootstrap must
-    // equal the legacy entry point bit for bit.
+    // equal the workspace-free entry point bit for bit.
     BootstrapWorkspace ws;
     for (const char *name : {"TEST", "C", "B"}) {
         const auto &params = paramsByName(name);
@@ -401,7 +507,8 @@ TEST(AllocationGuard, WarmedUpBootstrapPerformsZeroAllocations)
     const auto lut = makePaddedLut(4, [](std::uint32_t m) {
         return m;
     });
-    const auto tp = buildTestPolynomial(params.polyDegree, lut);
+    TorusPolynomial tp;
+    buildTestPolynomialInto(params.polyDegree, lut, tp);
     const auto ct = encryptPadded(keys, 2, 4, rng);
 
     BootstrapWorkspace ws;
@@ -481,13 +588,6 @@ TEST(Alignment, WorkspaceScratchBuffersAreAligned)
 // Runtime dispatch: tier names, the supported set and the force hook.
 // ---------------------------------------------------------------------
 
-/** Force a tier for one scope, then drop back to the env/auto choice. */
-struct DispatchGuard
-{
-    explicit DispatchGuard(FftDispatchTier t) { forceFftDispatchTier(t); }
-    ~DispatchGuard() { resetFftDispatchTier(); }
-};
-
 TEST(FftDispatch, TierNames)
 {
     EXPECT_STREQ(fftDispatchTierName(FftDispatchTier::kScalar), "scalar");
@@ -517,53 +617,36 @@ TEST(FftDispatch, ForceSelectsEachSupportedTier)
 
 // ---------------------------------------------------------------------
 // The batched FFT engine: for every supported tier, batched transforms
-// must be bit-identical to the scalar single-polynomial engine, match
-// the radix-2 reference up to the engine permutation, round-trip, and
-// agree with the schoolbook negacyclic product.
+// must be bit-identical to the forced scalar tier (W = 1 everywhere),
+// preserve the inverse's input spectra, round-trip, and agree with the
+// schoolbook negacyclic product. N = 4 is the radix-2 tail alone.
 // ---------------------------------------------------------------------
 
-IntPolynomial
-randomIntPoly(unsigned n, Rng &rng)
+TEST(BatchFftTiers, ForwardBitIdenticalToScalarTier)
 {
-    IntPolynomial p(n);
-    for (unsigned i = 0; i < n; ++i)
-        p[i] = static_cast<std::int32_t>(rng.nextU32());
-    return p;
-}
-
-TEST(BatchFftTiers, ForwardBitIdenticalToScalarEngine)
-{
-    // Randomized ring degrees (with and without the radix-2 tail, and
-    // small enough to force the scalar fallback under wide tiers) and
-    // randomized batch counts around the lane-width boundaries.
-    for (const auto tier : supportedFftDispatchTiers()) {
-        DispatchGuard guard(tier);
-        Rng rng(0xF0F0 + static_cast<unsigned>(tier));
-        for (const unsigned n : {8u, 16u, 32u, 128u, 512u, 1024u, 2048u}) {
-            const BatchFft bfft(n);
-            for (const unsigned count : {1u, 2u, 5u, 8u, 9u, 17u}) {
-                std::vector<IntPolynomial> polys;
-                std::vector<const IntPolynomial *> in;
-                std::vector<FourierPolynomial> batched(
-                    count, FourierPolynomial(n));
-                std::vector<FourierPolynomial *> out;
+    // Ring degrees with and without the radix-2 tail, and small enough
+    // to force the W = 1 rung under wide tiers; batch counts around the
+    // lane-width boundaries.
+    Rng rng(0xF0F0);
+    for (const unsigned n : {4u, 8u, 16u, 32u, 128u, 512u, 1024u, 2048u}) {
+        const BatchFft bfft(n);
+        for (const unsigned count : {1u, 2u, 5u, 8u, 9u, 17u}) {
+            const auto polys = randomIntPolys(count, n, rng);
+            std::vector<FourierPolynomial> want;
+            {
+                DispatchGuard guard(FftDispatchTier::kScalar);
+                want = forwardAll(bfft, polys);
+            }
+            for (const auto tier : supportedFftDispatchTiers()) {
+                DispatchGuard guard(tier);
+                const auto got = forwardAll(bfft, polys);
                 for (unsigned i = 0; i < count; ++i) {
-                    polys.push_back(randomIntPoly(n, rng));
-                    out.push_back(&batched[i]);
-                }
-                for (unsigned i = 0; i < count; ++i)
-                    in.push_back(&polys[i]);
-                bfft.forward(in.data(), out.data(), count);
-
-                FourierPolynomial ref(n);
-                for (unsigned i = 0; i < count; ++i) {
-                    bfft.engine().forward(polys[i], ref);
-                    for (unsigned j = 0; j < ref.size(); ++j) {
-                        ASSERT_EQ(batched[i].re(j), ref.re(j))
+                    for (unsigned j = 0; j < n / 2; ++j) {
+                        ASSERT_EQ(got[i].re(j), want[i].re(j))
                             << fftDispatchTierName(tier) << " N " << n
                             << " count " << count << " poly " << i
                             << " bin " << j;
-                        ASSERT_EQ(batched[i].im(j), ref.im(j))
+                        ASSERT_EQ(got[i].im(j), want[i].im(j))
                             << fftDispatchTierName(tier) << " N " << n
                             << " count " << count << " poly " << i
                             << " bin " << j;
@@ -574,42 +657,67 @@ TEST(BatchFftTiers, ForwardBitIdenticalToScalarEngine)
     }
 }
 
-TEST(BatchFftTiers, InverseBitIdenticalToScalarEngine)
+/** Realistic inverse inputs: forward transforms of random torus
+ *  polynomials, as an accumulated dot product would hold. */
+std::vector<FourierPolynomial>
+randomSpectra(unsigned count, unsigned n, Rng &rng)
 {
-    for (const auto tier : supportedFftDispatchTiers()) {
-        DispatchGuard guard(tier);
-        Rng rng(0x1D1D + static_cast<unsigned>(tier));
-        for (const unsigned n : {8u, 32u, 256u, 1024u}) {
-            const BatchFft bfft(n);
-            for (const unsigned count : {1u, 4u, 8u, 11u}) {
-                // Realistic spectra: forward transforms of random torus
-                // polynomials, scaled up as an accumulated dot product
-                // would be.
-                std::vector<FourierPolynomial> spectra(
-                    count, FourierPolynomial(n));
-                for (unsigned i = 0; i < count; ++i) {
-                    const auto tp = randomTorusPoly(n, rng);
-                    bfft.engine().forward(tp, spectra[i]);
-                }
+    DispatchGuard guard(FftDispatchTier::kScalar);
+    return forwardAll(BatchFft(n), randomIntPolys(count, n, rng));
+}
 
-                std::vector<TorusPolynomial> ref(count,
-                                                 TorusPolynomial(n));
+TEST(BatchFftTiers, InverseBitIdenticalToScalarTier)
+{
+    Rng rng(0x1D1D);
+    for (const unsigned n : {4u, 8u, 32u, 256u, 1024u}) {
+        const BatchFft bfft(n);
+        for (const unsigned count : {1u, 4u, 8u, 11u}) {
+            const auto spectra = randomSpectra(count, n, rng);
+            std::vector<TorusPolynomial> want;
+            {
+                DispatchGuard guard(FftDispatchTier::kScalar);
+                want = inverseAll(bfft, spectra);
+            }
+            for (const auto tier : supportedFftDispatchTiers()) {
+                DispatchGuard guard(tier);
+                const auto got = inverseAll(bfft, spectra);
                 for (unsigned i = 0; i < count; ++i)
-                    bfft.engine().inverse(spectra[i], ref[i]);
-
-                std::vector<FourierPolynomial *> in;
-                std::vector<TorusPolynomial> got(count,
-                                                 TorusPolynomial(n));
-                std::vector<TorusPolynomial *> out;
-                for (unsigned i = 0; i < count; ++i) {
-                    in.push_back(&spectra[i]);
-                    out.push_back(&got[i]);
-                }
-                bfft.inverseInPlace(in.data(), out.data(), count);
-                for (unsigned i = 0; i < count; ++i)
-                    EXPECT_EQ(got[i], ref[i])
+                    EXPECT_EQ(got[i], want[i])
                         << fftDispatchTierName(tier) << " N " << n
                         << " count " << count << " poly " << i;
+            }
+        }
+    }
+}
+
+TEST(BatchFftTiers, InversePreservesSpectra)
+{
+    // The inverse contract on every tier and rung, W = 1 included: the
+    // input spectra come back bit for bit unchanged, padded short
+    // groups too.
+    for (const auto tier : supportedFftDispatchTiers()) {
+        DispatchGuard guard(tier);
+        Rng rng(0x5EC7 + static_cast<unsigned>(tier));
+        for (const unsigned n : {4u, 16u, 512u, 1024u}) {
+            const BatchFft bfft(n);
+            for (const unsigned count : {1u, 2u, 3u, 8u, 11u}) {
+                std::vector<FourierPolynomial> spectra;
+                {
+                    DispatchGuard scalar(FftDispatchTier::kScalar);
+                    spectra = randomSpectra(count, n, rng);
+                }
+                const auto before = spectra;
+                (void)inverseAll(bfft, spectra);
+                for (unsigned i = 0; i < count; ++i) {
+                    for (unsigned j = 0; j < n / 2; ++j) {
+                        ASSERT_EQ(spectra[i].re(j), before[i].re(j))
+                            << fftDispatchTierName(tier) << " N " << n
+                            << " count " << count << " poly " << i;
+                        ASSERT_EQ(spectra[i].im(j), before[i].im(j))
+                            << fftDispatchTierName(tier) << " N " << n
+                            << " count " << count << " poly " << i;
+                    }
+                }
             }
         }
     }
@@ -620,34 +728,19 @@ TEST(BatchFftTiers, RoundtripRecoversTorusPolynomials)
     for (const auto tier : supportedFftDispatchTiers()) {
         DispatchGuard guard(tier);
         Rng rng(0x707 + static_cast<unsigned>(tier));
-        for (const unsigned n : {16u, 128u, 1024u}) {
+        for (const unsigned n : {4u, 16u, 128u, 1024u}) {
             const BatchFft bfft(n);
-            const unsigned count = 9;
-            std::vector<TorusPolynomial> orig;
-            std::vector<const std::int32_t *> in;
-            std::vector<FourierPolynomial> spectra(count,
-                                                   FourierPolynomial(n));
-            std::vector<FourierPolynomial *> spectraP;
-            for (unsigned i = 0; i < count; ++i) {
-                orig.push_back(randomTorusPoly(n, rng));
-                spectraP.push_back(&spectra[i]);
+            for (const unsigned count : {1u, 9u}) {
+                const auto polys = randomIntPolys(count, n, rng);
+                const auto back = inverseAll(bfft, forwardAll(bfft, polys));
+                // The FFT roundtrip error is orders of magnitude below
+                // the rounding step, so recovery is exact.
+                for (unsigned i = 0; i < count; ++i)
+                    for (unsigned j = 0; j < n; ++j)
+                        ASSERT_EQ(back[i][j], static_cast<Torus32>(polys[i][j]))
+                            << fftDispatchTierName(tier) << " N " << n
+                            << " count " << count << " poly " << i;
             }
-            for (unsigned i = 0; i < count; ++i)
-                in.push_back(reinterpret_cast<const std::int32_t *>(
-                    orig[i].data()));
-            bfft.forward(in.data(), spectraP.data(), count);
-
-            std::vector<TorusPolynomial> back(count, TorusPolynomial(n));
-            std::vector<TorusPolynomial *> backP;
-            for (unsigned i = 0; i < count; ++i)
-                backP.push_back(&back[i]);
-            bfft.inverseInPlace(spectraP.data(), backP.data(), count);
-            // The FFT roundtrip error is orders of magnitude below the
-            // rounding step, so recovery is exact.
-            for (unsigned i = 0; i < count; ++i)
-                EXPECT_EQ(back[i], orig[i])
-                    << fftDispatchTierName(tier) << " N " << n
-                    << " poly " << i;
         }
     }
 }
@@ -667,16 +760,17 @@ TEST(BatchFftTiers, ProductMatchesSchoolbookNegacyclic)
             a[i] = static_cast<std::int32_t>(rng.nextU32() & 0xFF) - 128;
         const auto b = randomTorusPoly(n, rng);
 
+        // Two lone (count = 1) transforms: the W = 1 rung on every tier.
         FourierPolynomial fa(n), fb(n), acc(n);
-        const IntPolynomial *ap = &a;
-        FourierPolynomial *fap = &fa;
+        const std::int32_t *ap = a.data();
+        const auto *bp = reinterpret_cast<const std::int32_t *>(b.data());
+        FourierPolynomial *fap = &fa, *fbp = &fb;
         bfft.forward(&ap, &fap, 1);
-        bfft.engine().forward(b, fb);
-        acc.clear();
+        bfft.forward(&bp, &fbp, 1);
         acc.mulAddAssign(fa, fb);
 
         TorusPolynomial viaFft(n);
-        FourierPolynomial *accp = &acc;
+        const FourierPolynomial *accp = &acc;
         TorusPolynomial *outp = &viaFft;
         bfft.inverseInPlace(&accp, &outp, 1);
 
@@ -690,42 +784,21 @@ TEST(BatchFftTiers, ProductMatchesSchoolbookNegacyclic)
 
 TEST(BatchFftTiers, ForwardMatchesComplexFftUpToPermutation)
 {
-    // The batched negacyclic forward against the ground-truth radix-2
-    // reference: fold + twist by hand, reference transform in natural
-    // order, then compare through the engine's recovered permutation.
+    // The degrees the Radix4Sizes suite leaves out: the radix-2 tail
+    // alone (N = 4), one radix-4 stage (N = 8) and the largest ring.
     for (const auto tier : supportedFftDispatchTiers()) {
         DispatchGuard guard(tier);
         Rng rng(0xC0C0 + static_cast<unsigned>(tier));
-        const unsigned n = 256, half = n / 2;
-        const BatchFft bfft(n);
-        const ComplexFft reference(half);
-        const auto perm = probePermutation(Radix4Fft(half));
-
-        const auto poly = randomIntPoly(n, rng);
-        const IntPolynomial *in = &poly;
-        FourierPolynomial spectrum(n);
-        FourierPolynomial *out = &spectrum;
-        bfft.forward(&in, &out, 1);
-
-        std::vector<double> re(half), im(half);
-        for (unsigned j = 0; j < half; ++j) {
-            const double angle = M_PI * static_cast<double>(j) /
-                                 static_cast<double>(n);
-            const double lo = poly[j], hi = poly[j + half];
-            re[j] = lo * std::cos(angle) - hi * std::sin(angle);
-            im[j] = lo * std::sin(angle) + hi * std::cos(angle);
-        }
-        reference.forward(re.data(), im.data());
-        for (unsigned k = 0; k < half; ++k) {
-            // Relative tolerance: bins of full-range int32 inputs reach
-            // ~2^35, where a handful of ulps of engine-order difference
-            // against the radix-2 reference is expected.
-            const double tol =
-                1e-12 * (std::abs(re[k]) + std::abs(im[k]) + 1.0);
-            EXPECT_NEAR(spectrum.re(perm[k]), re[k], tol)
-                << fftDispatchTierName(tier) << " bin " << k;
-            EXPECT_NEAR(spectrum.im(perm[k]), im[k], tol)
-                << fftDispatchTierName(tier) << " bin " << k;
+        for (const unsigned n : {4u, 8u, 2048u}) {
+            const BatchFft bfft(n);
+            for (const unsigned count : {1u, 3u}) {
+                const auto polys = randomIntPolys(count, n, rng);
+                const auto spectra = forwardAll(bfft, polys);
+                for (unsigned i = 0; i < count; ++i)
+                    EXPECT_TRUE(matchesReference(polys[i], spectra[i]))
+                        << fftDispatchTierName(tier) << " N " << n
+                        << " count " << count << " poly " << i;
+            }
         }
     }
 }
@@ -838,12 +911,12 @@ TEST(BlindRotateBatch, BitIdenticalToPerCiphertextLoopOnEveryTier)
     const auto &keys = groupKeys();
     const unsigned big_n = keys.params.polyDegree;
     const unsigned n = keys.params.lweDimension;
-    const std::vector<TorusPolynomial> test_polys = {
-        buildTestPolynomial(big_n, makePaddedLut(4, [](std::uint32_t m) {
+    std::vector<TorusPolynomial> test_polys(2);
+    buildTestPolynomialInto(big_n, makePaddedLut(4, [](std::uint32_t m) {
                                 return (3 * m + 1) % 4;
-                            })),
-        constantTestPolynomial(big_n, doubleToTorus32(0.125)),
-    };
+                            }),
+                            test_polys[0]);
+    test_polys[1] = constantTestPolynomial(big_n, doubleToTorus32(0.125));
     for (const auto tier : supportedFftDispatchTiers()) {
         DispatchGuard guard(tier);
         // One workspace across all group sizes: it grows, is reused at
