@@ -146,9 +146,10 @@ BM_KeySwitch(benchmark::State &state)
         keys.glweKey,
         constantTestPolynomial(keys.params.polyDegree, 0),
         keys.params.glweNoiseStd, rng);
-    const auto extracted = glwe_ct.sampleExtract();
+    LweCiphertext extracted, out;
+    glwe_ct.sampleExtractAtInto(0, extracted);
     for (auto _ : state) {
-        auto out = keys.ksk.apply(extracted);
+        keys.ksk.applyInto(extracted, out);
         benchmark::DoNotOptimize(out.body());
     }
     state.SetItemsProcessed(state.iterations());

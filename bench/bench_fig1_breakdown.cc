@@ -121,9 +121,10 @@ main(int argc, char **argv)
     buildTestPolynomialInto(params.polyDegree, lut, tp);
     blindRotate(keys.bsk, tp, switched, acc, ws);
     const auto t2 = std::chrono::steady_clock::now();
-    const auto extracted = acc.sampleExtract();
+    LweCiphertext extracted, out;
+    acc.sampleExtractAtInto(0, extracted);
     const auto t3 = std::chrono::steady_clock::now();
-    const auto out = keys.ksk.apply(extracted);
+    keys.ksk.applyInto(extracted, out);
     const auto t4 = std::chrono::steady_clock::now();
 
     auto ms = [](auto a, auto b) {

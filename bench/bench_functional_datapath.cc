@@ -58,7 +58,9 @@ main(int argc, char **argv)
         const auto ct = encryptPadded(keys, m, space, rng);
         modSwitchInto(ct, params.polyDegree, switched);
         const auto acc = xpu.runBlindRotate(tp, switched);
-        const auto out = keys.ksk.apply(acc.sampleExtract());
+        LweCiphertext extracted, out;
+        acc.sampleExtractAtInto(0, extracted);
+        keys.ksk.applyInto(extracted, out);
         const auto dec = decryptPadded(keys, out, space);
         all_ok &= dec == (m + 1) % 4;
     }

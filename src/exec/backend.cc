@@ -26,32 +26,6 @@ makeJob(const std::vector<tfhe::LweCiphertext> &inputs,
     return job;
 }
 
-template <typename Keys>
-std::unique_ptr<ExecutionBackend>
-makeBackendImpl(const Keys &keys, const BackendSpec &spec)
-{
-    switch (spec.kind) {
-      case BackendKind::kFunctional:
-        return std::make_unique<FunctionalBackend>(keys);
-      case BackendKind::kTiming:
-        return std::make_unique<TimingBackend>(spec.timing,
-                                               keys.params);
-      case BackendKind::kShardedFunctional:
-        panic_if(spec.numShards == 0, "sharded backend needs >= 1 shard");
-        return std::make_unique<ShardedBackend>(
-            ShardedBackend::functional(keys, spec.numShards));
-      case BackendKind::kRemote:
-        fatal_if(spec.remote.port == 0,
-                 "kRemote needs BackendSpec::remote.port (the "
-                 "RemoteServer's TCP port)");
-        return std::make_unique<RemoteBackend>(keys, spec.remote);
-      case BackendKind::kCosim:
-        panic("kCosim is not a standalone backend; drive a "
-              "LockstepCosim (exec/cosim.h) instead");
-    }
-    panic("unknown backend kind ", static_cast<int>(spec.kind));
-}
-
 } // namespace
 
 const char *
@@ -99,13 +73,26 @@ Job::sign(const std::vector<tfhe::LweCiphertext> &inputs,
 std::unique_ptr<ExecutionBackend>
 makeBackend(const tfhe::EvaluationKeys &keys, const BackendSpec &spec)
 {
-    return makeBackendImpl(keys, spec);
-}
-
-std::unique_ptr<ExecutionBackend>
-makeBackend(const tfhe::KeySet &keys, const BackendSpec &spec)
-{
-    return makeBackendImpl(keys, spec);
+    switch (spec.kind) {
+      case BackendKind::kFunctional:
+        return std::make_unique<FunctionalBackend>(keys);
+      case BackendKind::kTiming:
+        return std::make_unique<TimingBackend>(spec.timing,
+                                               keys.params);
+      case BackendKind::kShardedFunctional:
+        panic_if(spec.numShards == 0, "sharded backend needs >= 1 shard");
+        return std::make_unique<ShardedBackend>(
+            ShardedBackend::functional(keys, spec.numShards));
+      case BackendKind::kRemote:
+        fatal_if(spec.remote.port == 0,
+                 "kRemote needs BackendSpec::remote.port (the "
+                 "RemoteServer's TCP port)");
+        return std::make_unique<RemoteBackend>(keys, spec.remote);
+      case BackendKind::kCosim:
+        panic("kCosim is not a standalone backend; drive a "
+              "LockstepCosim (exec/cosim.h) instead");
+    }
+    panic("unknown backend kind ", static_cast<int>(spec.kind));
 }
 
 } // namespace morphling::exec

@@ -238,10 +238,6 @@ struct BackendSpec
 std::unique_ptr<ExecutionBackend>
 makeBackend(const tfhe::EvaluationKeys &keys, const BackendSpec &spec = {});
 
-/** KeySet convenience: same backends, keys taken from the bundle. */
-std::unique_ptr<ExecutionBackend> makeBackend(const tfhe::KeySet &keys,
-                                              const BackendSpec &spec = {});
-
 } // namespace morphling::exec
 
 #endif // MORPHLING_EXEC_BACKEND_H

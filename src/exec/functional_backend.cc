@@ -62,21 +62,6 @@ FunctionalBackend::FunctionalBackend(const tfhe::EvaluationKeys &keys,
     }
 }
 
-FunctionalBackend::FunctionalBackend(const tfhe::KeySet &keys,
-                                     FunctionalConfig config)
-    : params_(keys.params), bsk_(keys.bsk), ksk_(keys.ksk),
-      config_(config)
-{
-    if (config_.xpuEngine == XpuEngine::kDatapath) {
-        fatal_if(config_.rawBsk == nullptr,
-                 "XpuEngine::kDatapath needs a coefficient-domain BSK "
-                 "(arch::functional::generateRawBsk)");
-        xpu_ = std::make_unique<arch::functional::FunctionalXpu>(
-            params_, config_.datapathRows, config_.datapathCols);
-        xpu_->loadBootstrapKey(*config_.rawBsk);
-    }
-}
-
 void
 FunctionalBackend::reset()
 {

@@ -77,8 +77,6 @@ class FunctionalBackend final : public ExecutionBackend
   public:
     explicit FunctionalBackend(const tfhe::EvaluationKeys &keys,
                                FunctionalConfig config = {});
-    explicit FunctionalBackend(const tfhe::KeySet &keys,
-                               FunctionalConfig config = {});
 
     std::string_view name() const override { return "functional"; }
 

@@ -60,20 +60,6 @@ RemoteBackend::RemoteBackend(const tfhe::EvaluationKeys &keys,
              "RemoteBackend: maxAttempts must be >= 1");
 }
 
-RemoteBackend::RemoteBackend(const tfhe::KeySet &keys,
-                             RemoteClientConfig config)
-    : keys_(nullptr), config_(std::move(config)),
-      fingerprint_(config_.fingerprint)
-{
-    fatal_if(config_.port == 0,
-             "RemoteBackend: config.port must name the server's TCP "
-             "port (0 is not a destination)");
-    fatal_if(config_.maxAttempts == 0,
-             "RemoteBackend: maxAttempts must be >= 1");
-    ownedKeys_ = tfhe::EvaluationKeys::fromKeySet(keys);
-    keys_ = &*ownedKeys_;
-}
-
 RemoteBackend::~RemoteBackend() = default;
 
 tfhe::KeyFingerprint

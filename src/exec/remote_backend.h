@@ -57,9 +57,6 @@ class RemoteBackend final : public ExecutionBackend
     RemoteBackend(const tfhe::EvaluationKeys &keys,
                   RemoteClientConfig config);
 
-    /** KeySet convenience: extracts and owns the evaluation half. */
-    RemoteBackend(const tfhe::KeySet &keys, RemoteClientConfig config);
-
     ~RemoteBackend() override;
 
     std::string_view name() const override { return "remote"; }
@@ -116,8 +113,6 @@ class RemoteBackend final : public ExecutionBackend
         const compiler::Program &program, const Job &job) const;
 
     const tfhe::EvaluationKeys *keys_;
-    /** Storage behind keys_ for the KeySet overload. */
-    std::optional<tfhe::EvaluationKeys> ownedKeys_;
     RemoteClientConfig config_;
     mutable std::optional<tfhe::KeyFingerprint> fingerprint_;
 

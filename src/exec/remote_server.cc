@@ -491,6 +491,17 @@ void RemoteServer::handleExecute(Connection *conn,
                          "request carries no LUT");
         return;
     }
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        if (inputs[i].dimension() != keys->params.lweDimension) {
+            sendErrorCounted(
+                conn, WireErrorCode::kBadProgram,
+                morphling::detail::concat(
+                    "input ciphertext ", i, " has LWE dimension ",
+                    inputs[i].dimension(), ", keys expect n = ",
+                    keys->params.lweDimension));
+            return;
+        }
+    }
 
     // Idempotency gate: a known id replays; an in-flight id waits for
     // the original execution, then replays.

@@ -70,19 +70,6 @@ ShardedBackend::functional(const tfhe::EvaluationKeys &keys,
 }
 
 ShardedBackend
-ShardedBackend::functional(const tfhe::KeySet &keys, unsigned numShards,
-                           FunctionalConfig config)
-{
-    fatal_if(numShards == 0, "sharded backend needs >= 1 shard");
-    std::vector<std::unique_ptr<ExecutionBackend>> shards;
-    shards.reserve(numShards);
-    for (unsigned s = 0; s < numShards; ++s)
-        shards.push_back(
-            std::make_unique<FunctionalBackend>(keys, config));
-    return ShardedBackend(std::move(shards));
-}
-
-ShardedBackend
 ShardedBackend::timing(const arch::ArchConfig &config,
                        const tfhe::TfheParams &params,
                        unsigned numShards)

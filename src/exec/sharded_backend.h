@@ -85,11 +85,6 @@ class ShardedBackend final : public ExecutionBackend
                                      unsigned numShards,
                                      FunctionalConfig config = {});
 
-    /** Same fan-out from a full KeySet (client-side runs and tests). */
-    static ShardedBackend functional(const tfhe::KeySet &keys,
-                                     unsigned numShards,
-                                     FunctionalConfig config = {});
-
     /** N independent simulated accelerators of identical geometry. */
     static ShardedBackend timing(const arch::ArchConfig &config,
                                  const tfhe::TfheParams &params,

@@ -197,13 +197,6 @@ BootstrapService::BootstrapService(
         workers_.emplace_back(&BootstrapService::workerMain, this);
 }
 
-BootstrapService::BootstrapService(const tfhe::KeySet &keys,
-                                   ServiceConfig config)
-    : BootstrapService(tfhe::EvaluationKeys::fromKeySet(keys),
-                       std::move(config))
-{
-}
-
 BootstrapService::~BootstrapService()
 {
     shutdown();
@@ -239,13 +232,43 @@ BootstrapService::trySubmit(
     return enqueue(std::move(ct), lut, deadline, /*block=*/false);
 }
 
+namespace {
+
 void
-checkCircuitArity(const circuit::Circuit &circuit, std::size_t inputs)
+checkDimension(const tfhe::LweCiphertext &ct, unsigned lwe_dimension)
 {
-    if (inputs != circuit.numInputs())
+    if (ct.dimension() != lwe_dimension)
+        throw std::invalid_argument(
+            "ciphertext has LWE dimension " +
+            std::to_string(ct.dimension()) + ", keys expect n = " +
+            std::to_string(lwe_dimension));
+}
+
+} // namespace
+
+void
+checkRequest(const tfhe::LweCiphertext &ct, LutId lut,
+             unsigned lweDimension, std::size_t numLuts)
+{
+    checkDimension(ct, lweDimension);
+    if (lut >= numLuts)
+        throw std::invalid_argument("unknown LUT id " +
+                                    std::to_string(lut) + " (" +
+                                    std::to_string(numLuts) +
+                                    " registered)");
+}
+
+void
+checkCircuitInputs(const circuit::Circuit &circuit,
+                   const std::vector<tfhe::LweCiphertext> &inputs,
+                   unsigned lweDimension)
+{
+    if (inputs.size() != circuit.numInputs())
         throw std::invalid_argument(
             "circuit has " + std::to_string(circuit.numInputs()) +
-            " inputs, got " + std::to_string(inputs));
+            " inputs, got " + std::to_string(inputs.size()));
+    for (const auto &ct : inputs)
+        checkDimension(ct, lweDimension);
 }
 
 std::future<std::vector<tfhe::LweCiphertext>>
@@ -258,7 +281,7 @@ BootstrapService::submitCircuit(circuit::Circuit circuit,
     // invariant local (and cheap) should construction paths multiply.
     if (const auto error = config_.validate())
         throw std::invalid_argument("BootstrapService: " + *error);
-    checkCircuitArity(circuit, inputs.size());
+    checkCircuitInputs(circuit, inputs, keys_->params.lweDimension);
 
     CircuitJob job;
     // A circuit's admission weight is its bootstrap count, so a large
@@ -301,7 +324,7 @@ BootstrapService::enqueue(
     std::future<tfhe::LweCiphertext> future;
     {
         std::unique_lock<std::mutex> lk(mu_);
-        fatal_if(lut >= luts_.size(), "unknown LUT id ", lut);
+        checkRequest(ct, lut, keys_->params.lweDimension, luts_.size());
         if (block) {
             fatal_if(draining_,
                      "submit on a shut-down BootstrapService");

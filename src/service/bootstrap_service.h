@@ -90,12 +90,22 @@ struct CompletionInfo
 using CompletionObserver = std::function<void(const CompletionInfo &)>;
 
 /**
- * Throw std::invalid_argument unless `inputs` is the circuit's input
- * count. Both circuit entry points (BootstrapService and the tenant
- * front door) run it before they accept or charge for any work, so a
- * malformed request never reaches a worker thread.
+ * @{ Door checks on client input. Each throws std::invalid_argument
+ * naming the mismatch. BootstrapService and the tenant front door run
+ * them before they accept or charge for any work, so a malformed
+ * request never reaches a worker thread.
+ *
+ * checkRequest: `ct` must have LWE dimension `lweDimension` and `lut`
+ * must be one of the `numLuts` registered ids.
+ * checkCircuitInputs: one ciphertext per circuit input, each of LWE
+ * dimension `lweDimension`.
  */
-void checkCircuitArity(const circuit::Circuit &circuit, std::size_t inputs);
+void checkRequest(const tfhe::LweCiphertext &ct, LutId lut,
+                  unsigned lweDimension, std::size_t numLuts);
+void checkCircuitInputs(const circuit::Circuit &circuit,
+                        const std::vector<tfhe::LweCiphertext> &inputs,
+                        unsigned lweDimension);
+/** @} */
 
 /** Configuration of a BootstrapService. */
 struct ServiceConfig
@@ -189,11 +199,6 @@ class BootstrapService
         std::shared_ptr<const tfhe::EvaluationKeys> keys,
         ServiceConfig config = {});
 
-    /** Convenience: serve from a full key set (extracts the
-     *  evaluation half). */
-    explicit BootstrapService(const tfhe::KeySet &keys,
-                              ServiceConfig config = {});
-
     BootstrapService(const BootstrapService &) = delete;
     BootstrapService &operator=(const BootstrapService &) = delete;
 
@@ -213,8 +218,9 @@ class BootstrapService
     /**
      * Submit one request, blocking while the service is at its
      * maxOutstanding bound. The future is fulfilled when the
-     * containing superbatch completes. fatal() if the service has been
-     * shut down.
+     * containing superbatch completes. Throws std::invalid_argument
+     * (checkRequest) on a ciphertext of the wrong dimension or an
+     * unknown LUT id; fatal() if the service has been shut down.
      */
     std::future<tfhe::LweCiphertext>
     submit(tfhe::LweCiphertext ct, LutId lut,
@@ -224,6 +230,7 @@ class BootstrapService
     /**
      * Fail-fast submission: returns std::nullopt instead of blocking
      * when the service is at its backpressure bound (or shut down).
+     * Throws like submit() on a malformed request.
      */
     std::optional<std::future<tfhe::LweCiphertext>>
     trySubmit(tfhe::LweCiphertext ct, LutId lut,
@@ -240,7 +247,8 @@ class BootstrapService
      * bootstrap count weighs against maxOutstanding, so big circuits
      * apply proportional backpressure; blocks at the bound like
      * submit(). Throws std::invalid_argument, before accepting any
-     * work, when `inputs` does not match the circuit's input count;
+     * work, when `inputs` does not match the circuit's input count or
+     * holds a ciphertext of the wrong dimension (checkCircuitInputs);
      * fatal() if the service has been shut down.
      */
     std::future<std::vector<tfhe::LweCiphertext>>

@@ -127,6 +127,7 @@ MultiTenantService::addTenant(const TenantId &tenant,
     const bool refresh = t.service != nullptr &&
                          (t.fp != fp || t.weight != quota.weight);
     t.fp = fp;
+    t.lweDimension = keys.params.lweDimension;
     t.weight = quota.weight;
     if (refresh)
         drainAndTeardownLocked(lk, t);
@@ -162,6 +163,15 @@ const MultiTenantService::Tenant &
 MultiTenantService::find(const TenantId &tenant) const
 {
     return const_cast<MultiTenantService *>(this)->find(tenant);
+}
+
+void
+MultiTenantService::checkTenantRequest(const Tenant &t,
+                                       const tfhe::LweCiphertext &ct,
+                                       LutId lut) const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    checkRequest(ct, lut, t.lweDimension, t.luts.size());
 }
 
 bool
@@ -316,6 +326,7 @@ MultiTenantService::submit(
     std::optional<ServiceClock::time_point> deadline)
 {
     auto &t = find(tenant);
+    checkTenantRequest(t, ct, lut);
     admit(t, 1.0, /*block=*/true);
     auto &svc = materialize(t);
     InflightGuard guard(&t);
@@ -329,6 +340,7 @@ MultiTenantService::trySubmit(
     std::optional<ServiceClock::time_point> deadline)
 {
     auto &t = find(tenant);
+    checkTenantRequest(t, ct, lut);
     if (!admit(t, 1.0, /*block=*/false))
         return std::nullopt;
     auto &svc = materialize(t);
@@ -350,8 +362,11 @@ MultiTenantService::submitCircuit(
     std::vector<tfhe::LweCiphertext> inputs)
 {
     auto &t = find(tenant);
-    // Reject a malformed circuit before admit() draws its tokens.
-    checkCircuitArity(circuit, inputs.size());
+    {
+        // Reject a malformed circuit before admit() draws its tokens.
+        std::lock_guard<std::mutex> lk(mu_);
+        checkCircuitInputs(circuit, inputs, t.lweDimension);
+    }
     const auto cost = std::max<std::uint64_t>(
         1, circuit.bootstrapCount());
     admit(t, static_cast<double>(cost), /*block=*/true);

@@ -108,7 +108,9 @@ class MultiTenantService
                       std::vector<tfhe::Torus32> lut);
 
     /** Submit one bootstrap, blocking first on the tenant's token
-     *  bucket, then on the tenant service's backpressure. */
+     *  bucket, then on the tenant service's backpressure. A
+     *  ciphertext of the wrong dimension or an unknown LUT id throws
+     *  std::invalid_argument before any token is drawn. */
     std::future<tfhe::LweCiphertext>
     submit(const TenantId &tenant, tfhe::LweCiphertext ct, LutId lut,
            std::optional<ServiceClock::time_point> deadline =
@@ -116,7 +118,8 @@ class MultiTenantService
 
     /** Fail-fast submission: std::nullopt when the tenant's bucket is
      *  empty or its service is saturated — both counted as throttled,
-     *  and only a forwarded request counts as submitted. */
+     *  and only a forwarded request counts as submitted. Throws like
+     *  submit() on a malformed request. */
     std::optional<std::future<tfhe::LweCiphertext>>
     trySubmit(const TenantId &tenant, tfhe::LweCiphertext ct,
               LutId lut,
@@ -128,8 +131,8 @@ class MultiTenantService
      *  than the bucket depth waits for a full bucket and leaves the
      *  balance negative (paid back at ratePerSec) rather than
      *  blocking forever on tokens the bucket can never hold. A wrong
-     *  input count throws std::invalid_argument before any token is
-     *  drawn. */
+     *  input count or input dimension throws std::invalid_argument
+     *  before any token is drawn. */
     std::future<std::vector<tfhe::LweCiphertext>>
     submitCircuit(const TenantId &tenant, circuit::Circuit circuit,
                   std::vector<tfhe::LweCiphertext> inputs);
@@ -161,6 +164,7 @@ class MultiTenantService
     {
         TenantId name;
         tfhe::KeyFingerprint fp = 0; //!< guarded by mu_
+        unsigned lweDimension = 0;   //!< of the keys; guarded by mu_
 
         /** Worker-thread share of the service; guarded by mu_ (read
          *  at materialization). */
@@ -213,6 +217,11 @@ class MultiTenantService
 
     Tenant &find(const TenantId &tenant);
     const Tenant &find(const TenantId &tenant) const;
+
+    /** checkRequest against the tenant's keys and LUT namespace; runs
+     *  before admit() so a rejected request draws no tokens. */
+    void checkTenantRequest(const Tenant &t, const tfhe::LweCiphertext &ct,
+                            LutId lut) const;
 
     /** Token-bucket admission of `cost` bootstraps; blocks until the
      *  bucket refills when `block`, else returns false (throttled).

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <thread>
 
 #include "common/logging.h"
-#include "telemetry/telemetry.h"
-#include "tfhe/encoding.h"
 #include "tfhe/noise.h"
 
 namespace morphling::tfhe {
@@ -18,34 +15,6 @@ namespace {
  *  the paper's group of 16 LWEs sharing one BSK stream, and the chunk
  *  of a compiled Program (compiler::kGroupSize). */
 constexpr std::size_t kMaxGroup = 16;
-
-/**
- * Bootstrap inputs[begin, end) as one group: mod-switch each input,
- * blind-rotate the whole group BSK-stationary, then sample-extract and
- * key-switch each ciphertext. `switched` and `accs` hold at least
- * end - begin entries and are reused across the worker's groups.
- */
-void
-bootstrapGroup(const BootstrapKey &bsk, const KeySwitchKey &ksk,
-               const TorusPolynomial &test_poly,
-               const std::vector<LweCiphertext> &inputs, std::size_t begin,
-               std::size_t end, std::vector<LweCiphertext> &out,
-               std::vector<std::vector<std::uint32_t>> &switched,
-               std::vector<GlweCiphertext> &accs, BootstrapWorkspace &ws)
-{
-    const std::size_t count = end - begin;
-    for (std::size_t g = 0; g < count; ++g)
-        modSwitchInto(inputs[begin + g], test_poly.degree(), switched[g]);
-    {
-        MORPHLING_SPAN("tfhe", "blind_rotate");
-        blindRotateBatch(bsk, test_poly, {switched.data(), count},
-                         {accs.data(), count}, ws);
-    }
-    for (std::size_t g = 0; g < count; ++g) {
-        accs[g].sampleExtractAtInto(0, ws.extracted);
-        ksk.applyInto(ws.extracted, out[begin + g]);
-    }
-}
 
 std::vector<LweCiphertext>
 runBatch(const BootstrapKey &bsk, const KeySwitchKey &ksk,
@@ -78,9 +47,10 @@ runBatch(const BootstrapKey &bsk, const KeySwitchKey &ksk,
                 next.fetch_add(group, std::memory_order_relaxed);
             if (begin >= inputs.size())
                 return;
-            bootstrapGroup(bsk, ksk, test_poly, inputs, begin,
-                           std::min(begin + group, inputs.size()), out,
-                           switched, accs, ws);
+            const std::size_t count =
+                std::min(group, inputs.size() - begin);
+            bootstrapGroup(bsk, ksk, test_poly, {&inputs[begin], count},
+                           {&out[begin], count}, switched, accs, ws);
         }
     };
 
@@ -121,17 +91,6 @@ auditBatchLut(const TfheParams &params, const std::vector<Torus32> &lut,
 }
 
 std::vector<LweCiphertext>
-batchBootstrap(const KeySet &keys,
-               const std::vector<LweCiphertext> &inputs,
-               const std::vector<Torus32> &lut, const BatchOptions &opts)
-{
-    auditBatchLut(keys.params, lut, opts);
-    TorusPolynomial tp;
-    buildTestPolynomialInto(keys.params.polyDegree, lut, tp);
-    return runBatch(keys.bsk, keys.ksk, tp, inputs, opts);
-}
-
-std::vector<LweCiphertext>
 batchBootstrap(const EvaluationKeys &keys,
                const std::vector<LweCiphertext> &inputs,
                const std::vector<Torus32> &lut, const BatchOptions &opts)
@@ -150,43 +109,6 @@ batchSignBootstrap(const EvaluationKeys &keys,
     return runBatch(keys.bsk, keys.ksk,
                     constantTestPolynomial(keys.params.polyDegree, mu),
                     inputs, opts);
-}
-
-ParallelEfficiency
-measureParallelEfficiency(const KeySet &keys, unsigned count,
-                          unsigned threads)
-{
-    fatal_if(count == 0 || threads == 0,
-             "efficiency probe needs work and workers");
-    Rng rng(0xEFF1C1);
-    const auto lut = makePaddedLut(4, [](std::uint32_t m) {
-        return m;
-    });
-    std::vector<LweCiphertext> inputs;
-    inputs.reserve(count);
-    for (unsigned i = 0; i < count; ++i) {
-        inputs.push_back(encryptPadded(
-            keys, static_cast<std::uint32_t>(i % 4), 4, rng));
-    }
-
-    ParallelEfficiency result;
-    result.threads = threads;
-
-    BatchOptions parallel;
-    parallel.threads = threads;
-
-    auto t0 = std::chrono::steady_clock::now();
-    auto seq = batchBootstrap(keys, inputs, lut);
-    auto t1 = std::chrono::steady_clock::now();
-    auto par = batchBootstrap(keys, inputs, lut, parallel);
-    auto t2 = std::chrono::steady_clock::now();
-
-    panic_if(seq.size() != par.size(), "batch size mismatch");
-    result.sequentialSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    result.parallelSeconds =
-        std::chrono::duration<double>(t2 - t1).count();
-    return result;
 }
 
 } // namespace morphling::tfhe

@@ -6,10 +6,8 @@
  * scheduler exploits with 64-ciphertext superbatches, and the property
  * that lets a multicore CPU parallelize them. This module provides the
  * unified batch entry point (one function, execution shaped by
- * BatchOptions), an EvaluationKeys overload for the server side of a
- * deployment split, and a measured parallel-efficiency probe that
- * grounds the CPU cost model's efficiency constant in reality instead
- * of a guess.
+ * BatchOptions): workers claim groups of up to 16 ciphertexts and run
+ * each through bootstrapGroup.
  *
  * Thread safety: key material is read-only during bootstrapping and
  * the FFT engines are per-thread (BatchFft::forDegree), so the
@@ -23,7 +21,6 @@
 #include <vector>
 
 #include "tfhe/bootstrap.h"
-#include "tfhe/serialize.h"
 
 namespace morphling::tfhe {
 
@@ -64,19 +61,9 @@ void auditBatchLut(const TfheParams &params,
                    const BatchOptions &opts);
 
 /**
- * Programmable-bootstrap every ciphertext with the same LUT. Results
- * are in input order and independent of opts.threads.
- */
-std::vector<LweCiphertext>
-batchBootstrap(const KeySet &keys,
-               const std::vector<LweCiphertext> &inputs,
-               const std::vector<Torus32> &lut,
-               const BatchOptions &opts = {});
-
-/**
- * Server-side batch bootstrap: same semantics, using only evaluation
- * keys (no secret material). This is the hot path the
- * service::BootstrapService worker pool runs.
+ * Programmable-bootstrap every ciphertext with the same LUT, using only
+ * evaluation keys (a KeySet binds here too). Results are in input
+ * order and independent of opts.threads.
  */
 std::vector<LweCiphertext>
 batchBootstrap(const EvaluationKeys &keys,
@@ -97,32 +84,6 @@ std::vector<LweCiphertext>
 batchSignBootstrap(const EvaluationKeys &keys,
                    const std::vector<LweCiphertext> &inputs, Torus32 mu,
                    const BatchOptions &opts = {});
-
-/** Outcome of the parallel-efficiency probe. */
-struct ParallelEfficiency
-{
-    unsigned threads = 0;
-    double sequentialSeconds = 0;
-    double parallelSeconds = 0;
-
-    /** speedup / threads, in (0, 1]. */
-    double
-    efficiency() const
-    {
-        if (parallelSeconds <= 0 || threads == 0)
-            return 0;
-        return sequentialSeconds / parallelSeconds / threads;
-    }
-};
-
-/**
- * Measure multicore scaling of this library's bootstrap on the current
- * host: run `count` bootstraps sequentially and with `threads`
- * workers.
- */
-ParallelEfficiency measureParallelEfficiency(const KeySet &keys,
-                                             unsigned count,
-                                             unsigned threads);
 
 } // namespace morphling::tfhe
 

@@ -114,31 +114,53 @@ blindRotate(const BootstrapKey &bsk, const TorusPolynomial &test_poly,
 }
 
 void
+bootstrapGroup(const BootstrapKey &bsk, const KeySwitchKey &ksk,
+               const TorusPolynomial &test_poly,
+               std::span<const LweCiphertext> inputs,
+               std::span<LweCiphertext> out,
+               std::span<std::vector<std::uint32_t>> switched,
+               std::span<GlweCiphertext> accs, BootstrapWorkspace &ws)
+{
+    const std::size_t count = inputs.size();
+    panic_if(out.size() != count || switched.size() < count ||
+                 accs.size() < count,
+             "bootstrap group of ", count, " has ", out.size(),
+             " outputs and ", switched.size(), "/", accs.size(),
+             " staging slots");
+    {
+        MORPHLING_SPAN("tfhe", "mod_switch");
+        for (std::size_t g = 0; g < count; ++g)
+            modSwitchInto(inputs[g], test_poly.degree(), switched[g]);
+    }
+    {
+        MORPHLING_SPAN("tfhe", "blind_rotate");
+        blindRotateBatch(bsk, test_poly, switched.first(count),
+                         accs.first(count), ws);
+    }
+    for (std::size_t g = 0; g < count; ++g) {
+        {
+            MORPHLING_SPAN("tfhe", "sample_extract");
+            accs[g].sampleExtractAtInto(0, ws.extracted);
+        }
+        {
+            MORPHLING_SPAN("tfhe", "key_switch");
+            ksk.applyInto(ws.extracted, out[g]);
+        }
+    }
+}
+
+void
 bootstrapInto(const BootstrapKey &bsk, const KeySwitchKey &ksk,
               const TorusPolynomial &test_poly, const LweCiphertext &ct,
               LweCiphertext &out, BootstrapWorkspace &ws)
 {
     MORPHLING_SPAN("tfhe", "bootstrap");
-    {
-        MORPHLING_SPAN("tfhe", "mod_switch");
-        modSwitchInto(ct, test_poly.degree(), ws.switched);
-    }
-    {
-        MORPHLING_SPAN("tfhe", "blind_rotate");
-        blindRotate(bsk, test_poly, ws.switched, ws.acc, ws);
-    }
-    {
-        MORPHLING_SPAN("tfhe", "sample_extract");
-        ws.acc.sampleExtractAtInto(0, ws.extracted);
-    }
-    {
-        MORPHLING_SPAN("tfhe", "key_switch");
-        ksk.applyInto(ws.extracted, out);
-    }
+    bootstrapGroup(bsk, ksk, test_poly, {&ct, 1}, {&out, 1},
+                   {&ws.switched, 1}, {&ws.acc, 1}, ws);
 }
 
 LweCiphertext
-programmableBootstrap(const KeySet &keys, const LweCiphertext &ct,
+programmableBootstrap(const EvaluationKeys &keys, const LweCiphertext &ct,
                       const std::vector<Torus32> &lut)
 {
     auto &ws = BootstrapWorkspace::forThisThread();
@@ -149,7 +171,8 @@ programmableBootstrap(const KeySet &keys, const LweCiphertext &ct,
 }
 
 LweCiphertext
-signBootstrap(const KeySet &keys, const LweCiphertext &ct, Torus32 mu)
+signBootstrap(const EvaluationKeys &keys, const LweCiphertext &ct,
+              Torus32 mu)
 {
     LweCiphertext out;
     bootstrapInto(keys.bsk, keys.ksk,
@@ -192,7 +215,7 @@ buildMultiTestPolynomial(unsigned poly_degree,
 }
 
 std::vector<LweCiphertext>
-multiLutBootstrap(const KeySet &keys, const LweCiphertext &ct,
+multiLutBootstrap(const EvaluationKeys &keys, const LweCiphertext &ct,
                   const std::vector<std::vector<Torus32>> &luts)
 {
     const unsigned poly_degree = keys.params.polyDegree;
@@ -205,13 +228,12 @@ multiLutBootstrap(const KeySet &keys, const LweCiphertext &ct,
     const auto nu = static_cast<unsigned>(luts.size());
     const unsigned spacing =
         poly_degree / static_cast<unsigned>(luts[0].size()) / nu;
-    std::vector<LweCiphertext> out;
-    out.reserve(nu);
+    std::vector<LweCiphertext> out(nu);
     for (unsigned i = 0; i < nu; ++i) {
         // One cheap extraction per function; the expensive blind
         // rotation is shared.
-        out.push_back(
-            keys.ksk.apply(ws.acc.sampleExtractAt(i * spacing)));
+        ws.acc.sampleExtractAtInto(i * spacing, ws.extracted);
+        keys.ksk.applyInto(ws.extracted, out[i]);
     }
     return out;
 }

@@ -84,10 +84,28 @@ void blindRotateBatch(const BootstrapKey &bsk,
                       BootstrapWorkspace &ws);
 
 /**
- * Full workspace bootstrap from evaluation material: mod-switch, blind
- * rotation, sample extraction and key switching, every intermediate
- * taken from `ws`. This is the zero-allocation hot path under all
- * batch/service entry points; `out` gets the key-switched result.
+ * Bootstrap a group of ciphertexts against one test polynomial: the
+ * one place Algorithm 1's stage sequence runs. Each inputs[g] is
+ * mod-switched into switched[g], the whole group is blind-rotated
+ * BSK-stationary into accs[g] (blindRotateBatch), and each rotation
+ * is sample-extracted through ws.extracted and key-switched into
+ * out[g]. `switched` and `accs` are caller-owned staging with at
+ * least inputs.size() entries, reused across groups; out must be as
+ * long as inputs. Allocation-free when warm.
+ */
+void bootstrapGroup(const BootstrapKey &bsk, const KeySwitchKey &ksk,
+                    const TorusPolynomial &test_poly,
+                    std::span<const LweCiphertext> inputs,
+                    std::span<LweCiphertext> out,
+                    std::span<std::vector<std::uint32_t>> switched,
+                    std::span<GlweCiphertext> accs,
+                    BootstrapWorkspace &ws);
+
+/**
+ * Full workspace bootstrap of one ciphertext: bootstrapGroup over a
+ * group of one, staged in ws.switched and ws.acc. This is the
+ * zero-allocation hot path of the single-ciphertext entry points;
+ * `out` gets the key-switched result.
  */
 void bootstrapInto(const BootstrapKey &bsk, const KeySwitchKey &ksk,
                    const TorusPolynomial &test_poly,
@@ -99,7 +117,7 @@ void bootstrapInto(const BootstrapKey &bsk, const KeySwitchKey &ksk,
  * LWE_s(lut[m]) for input LWE_s(m / (2p)). lut values are raw torus
  * elements, so any output encoding (including a different p) works.
  */
-LweCiphertext programmableBootstrap(const KeySet &keys,
+LweCiphertext programmableBootstrap(const EvaluationKeys &keys,
                                     const LweCiphertext &ct,
                                     const std::vector<Torus32> &lut);
 
@@ -108,8 +126,8 @@ LweCiphertext programmableBootstrap(const KeySet &keys,
  * (0, 1/2) and LWE_s(-mu) when it lies in (-1/2, 0). The primitive
  * behind all two-input boolean gates.
  */
-LweCiphertext signBootstrap(const KeySet &keys, const LweCiphertext &ct,
-                            Torus32 mu);
+LweCiphertext signBootstrap(const EvaluationKeys &keys,
+                            const LweCiphertext &ct, Torus32 mu);
 
 /**
  * Multi-LUT test polynomial: packs nu look-up tables (all over the
@@ -130,7 +148,7 @@ buildMultiTestPolynomial(unsigned poly_degree,
  * message space; p * nu must divide N with spacing >= 2.
  */
 std::vector<LweCiphertext>
-multiLutBootstrap(const KeySet &keys, const LweCiphertext &ct,
+multiLutBootstrap(const EvaluationKeys &keys, const LweCiphertext &ct,
                   const std::vector<std::vector<Torus32>> &luts);
 
 } // namespace morphling::tfhe

@@ -168,20 +168,6 @@ GlweCiphertext::mulByXPowerInPlace(unsigned power,
         poly.mulByXPowerInPlace(power, scratch);
 }
 
-LweCiphertext
-GlweCiphertext::sampleExtract() const
-{
-    return sampleExtractAt(0);
-}
-
-LweCiphertext
-GlweCiphertext::sampleExtractAt(unsigned index) const
-{
-    LweCiphertext out(dimension() * polyDegree());
-    sampleExtractAtInto(index, out);
-    return out;
-}
-
 void
 GlweCiphertext::sampleExtractAtInto(unsigned index,
                                     LweCiphertext &out) const

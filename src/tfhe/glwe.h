@@ -98,22 +98,14 @@ class GlweCiphertext
     void mulByXPowerInPlace(unsigned power, TorusPolynomial &scratch);
 
     /**
-     * Extract the LWE ciphertext of the constant coefficient of the
-     * message (Algorithm 1, line 5). Pure data re-grouping, no
-     * arithmetic beyond negation.
+     * Extract the LWE ciphertext (under the flattened key, dimension
+     * kN) of coefficient `index` of the message into `out`; index 0
+     * is Algorithm 1's line 5. Pure data re-grouping, no arithmetic
+     * beyond negation. Other indices are the basis of multi-LUT
+     * bootstrapping: one blind rotation, several extracted outputs at
+     * different coefficient positions. Only resizes `out` when its
+     * dimension mismatches (allocation-free when warm).
      */
-    LweCiphertext sampleExtract() const;
-
-    /**
-     * Extract the LWE ciphertext of coefficient `index` of the
-     * message. The basis of multi-LUT bootstrapping: one blind
-     * rotation, several extracted outputs at different coefficient
-     * positions.
-     */
-    LweCiphertext sampleExtractAt(unsigned index) const;
-
-    /** Extraction into an existing ciphertext; only resizes `out` when
-     *  its dimension mismatches (allocation-free when warm). */
     void sampleExtractAtInto(unsigned index, LweCiphertext &out) const;
 
   private:

@@ -69,14 +69,6 @@ KeySwitchKey::fromEntries(unsigned source_dim, unsigned target_dim,
     return out;
 }
 
-LweCiphertext
-KeySwitchKey::apply(const LweCiphertext &ct) const
-{
-    LweCiphertext out(targetDim_);
-    applyInto(ct, out);
-    return out;
-}
-
 void
 KeySwitchKey::applyInto(const LweCiphertext &ct, LweCiphertext &out) const
 {
@@ -121,6 +113,12 @@ KeySet::generate(const TfheParams &params, Rng &rng)
     ks.bsk = BootstrapKey::generate(ks.lweKey, ks.glweKey, rng);
     ks.ksk = KeySwitchKey::generate(ks.extractedKey, ks.lweKey, rng);
     return ks;
+}
+
+EvaluationKeys
+EvaluationKeys::fromKeySet(const KeySet &keys)
+{
+    return keys;
 }
 
 } // namespace morphling::tfhe

@@ -1,8 +1,8 @@
 /**
  * @file
  * Evaluation-key material: the bootstrapping key (BSK) and the
- * key-switching key (KSK), plus a convenience KeySet bundling all
- * secret/evaluation keys of one party.
+ * key-switching key (KSK), bundled as the server-side EvaluationKeys,
+ * and the KeySet that adds the secret keys of one party.
  */
 
 #ifndef MORPHLING_TFHE_KEYSET_H
@@ -79,14 +79,11 @@ class KeySwitchKey
     }
 
     /**
-     * Apply key switching: re-encrypt ct (under the source key) to the
-     * target key. Pure scalar multiply-accumulate, the memory-bound
-     * task the paper routes to the VPU.
+     * Key switching: re-encrypt ct (under the source key) to the target
+     * key, into `out`. Pure scalar multiply-accumulate, the
+     * memory-bound task the paper routes to the VPU. Allocation-free
+     * once `out` has the target dimension.
      */
-    LweCiphertext apply(const LweCiphertext &ct) const;
-
-    /** Key switching into an existing ciphertext; allocation-free once
-     *  `out` has the target dimension. */
     void applyInto(const LweCiphertext &ct, LweCiphertext &out) const;
 
   private:
@@ -97,19 +94,35 @@ class KeySwitchKey
     unsigned baseBits_ = 0;
 };
 
+struct KeySet;
+
 /**
- * All keys of one party: the LWE secret key (encryption key), the GLWE
- * secret key (bootstrapping accumulator key), and the two evaluation
- * keys. Generation order matches the TFHE key ceremony.
+ * The server-side key material: everything needed to evaluate
+ * (bootstrap, key-switch) without the ability to decrypt. Every
+ * evaluation entry point takes this type; a KeySet binds to it
+ * directly.
  */
-struct KeySet
+struct EvaluationKeys
 {
     TfheParams params;
+    BootstrapKey bsk;
+    KeySwitchKey ksk;
+
+    /** Copy out the evaluation half of a full key set. */
+    static EvaluationKeys fromKeySet(const KeySet &keys);
+};
+
+/**
+ * All keys of one party: the evaluation keys plus the LWE secret key
+ * (encryption key), the GLWE secret key (bootstrapping accumulator
+ * key) and the extracted key. Generation order matches the TFHE key
+ * ceremony.
+ */
+struct KeySet : EvaluationKeys
+{
     LweKey lweKey;        //!< s, dimension n
     GlweKey glweKey;      //!< S, k ring polynomials
     LweKey extractedKey;  //!< s', dimension kN (flattened S)
-    BootstrapKey bsk;
-    KeySwitchKey ksk;
 
     /** Generate a complete key set from one seed. */
     static KeySet generate(const TfheParams &params, Rng &rng);

@@ -6,7 +6,6 @@
 #include <streambuf>
 
 #include "common/logging.h"
-#include "tfhe/bootstrap.h"
 
 namespace morphling::tfhe {
 
@@ -72,20 +71,6 @@ std::uint32_t
 readU32(std::istream &is)
 {
     std::uint32_t v = 0;
-    readBytes(is, &v, sizeof(v));
-    return v;
-}
-
-void
-writeU64(std::ostream &os, std::uint64_t v)
-{
-    writeBytes(os, &v, sizeof(v));
-}
-
-std::uint64_t
-readU64(std::istream &is)
-{
-    std::uint64_t v = 0;
     readBytes(is, &v, sizeof(v));
     return v;
 }
@@ -271,16 +256,6 @@ evaluationKeysWireBytes(const EvaluationKeys &keys)
     return sink.bytes();
 }
 
-EvaluationKeys
-EvaluationKeys::fromKeySet(const KeySet &keys)
-{
-    EvaluationKeys eval;
-    eval.params = keys.params;
-    eval.bsk = keys.bsk;
-    eval.ksk = keys.ksk;
-    return eval;
-}
-
 void
 saveParams(std::ostream &os, const TfheParams &params)
 {
@@ -458,17 +433,6 @@ tryLoadEvaluationKeys(std::istream &is, std::string *error)
             *error = "serialized keys exceed available memory";
     }
     return std::nullopt;
-}
-
-LweCiphertext
-serverBootstrap(const EvaluationKeys &keys, const LweCiphertext &ct,
-                const std::vector<Torus32> &lut)
-{
-    auto &ws = BootstrapWorkspace::forThisThread();
-    buildTestPolynomialInto(keys.params.polyDegree, lut, ws.testPoly);
-    LweCiphertext out;
-    bootstrapInto(keys.bsk, keys.ksk, ws.testPoly, ct, out, ws);
-    return out;
 }
 
 } // namespace morphling::tfhe

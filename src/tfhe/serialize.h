@@ -29,20 +29,6 @@ namespace morphling::tfhe {
 /** Current serialization format version. */
 constexpr std::uint32_t kSerializeVersion = 1;
 
-/**
- * The server-side key material: everything needed to evaluate
- * (bootstrap, key-switch) without the ability to decrypt.
- */
-struct EvaluationKeys
-{
-    TfheParams params;
-    BootstrapKey bsk;
-    KeySwitchKey ksk;
-
-    /** Extract the evaluation half of a full key set. */
-    static EvaluationKeys fromKeySet(const KeySet &keys);
-};
-
 /** @{ Serialization entry points. Streams must be binary-mode. */
 void saveParams(std::ostream &os, const TfheParams &params);
 TfheParams loadParams(std::istream &is);
@@ -89,14 +75,6 @@ std::string fingerprintHex(KeyFingerprint fp);
 /** Serialized size of the evaluation keys in bytes — the per-tenant
  *  memory cost a key registry budgets against (BSK dominates). */
 std::size_t evaluationKeysWireBytes(const EvaluationKeys &keys);
-
-/**
- * Programmable bootstrap using only evaluation keys (the server-side
- * operation; mirrors programmableBootstrap(KeySet, ...)).
- */
-LweCiphertext serverBootstrap(const EvaluationKeys &keys,
-                              const LweCiphertext &ct,
-                              const std::vector<Torus32> &lut);
 
 } // namespace morphling::tfhe
 

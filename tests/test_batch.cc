@@ -175,15 +175,5 @@ TEST_F(BatchFixture, SignBootstrapMatchesGateConvention)
         EXPECT_EQ(par[i].raw(), out[i].raw()) << i;
 }
 
-TEST_F(BatchFixture, EfficiencyProbeProducesSaneNumbers)
-{
-    const auto probe = measureParallelEfficiency(keys(), 8, 2);
-    EXPECT_EQ(probe.threads, 2u);
-    EXPECT_GT(probe.sequentialSeconds, 0.0);
-    EXPECT_GT(probe.parallelSeconds, 0.0);
-    EXPECT_GT(probe.efficiency(), 0.1);
-    EXPECT_LE(probe.efficiency(), 1.25); // allow measurement jitter
-}
-
 } // namespace
 } // namespace morphling::tfhe

@@ -209,6 +209,22 @@ TEST_F(CircuitServiceFixture, WrongArityCircuitThrowsAndServiceKeepsRunning)
     EXPECT_EQ(decryptValue(future.get()), 3u);
 }
 
+TEST_F(CircuitServiceFixture, WrongDimensionInputThrowsAndServiceKeepsRunning)
+{
+    // An input of the wrong LWE dimension throws at the door instead of
+    // aborting the process on a worker thread.
+    const auto c = adder(2);
+    BootstrapService service(keys(), ServiceConfig{});
+    auto bad_inputs = adderInputs(1, 2, 2);
+    bad_inputs.back() = LweCiphertext(keys().params.lweDimension + 1);
+    EXPECT_THROW((void)service.submitCircuit(c, bad_inputs),
+                 std::invalid_argument);
+    EXPECT_EQ(service.stats().circuits, 0u);
+
+    auto future = service.submitCircuit(c, adderInputs(1, 2, 2));
+    EXPECT_EQ(decryptValue(future.get()), 3u);
+}
+
 TEST_F(CircuitServiceFixture, InvalidShardCountThrows)
 {
     // Satellite regression: numShards = 0 with the sharded backend

@@ -214,7 +214,9 @@ TEST_F(FunctionalXpuFixture, BlindRotationDecryptsCorrectly)
         std::vector<std::uint32_t> switched;
         modSwitchInto(ct, keys().params.polyDegree, switched);
         const auto acc = xpu.runBlindRotate(tp, switched);
-        const auto out = keys().ksk.apply(acc.sampleExtract());
+        LweCiphertext extracted, out;
+        acc.sampleExtractAtInto(0, extracted);
+        keys().ksk.applyInto(extracted, out);
         EXPECT_EQ(decryptPadded(keys(), out, space), (m + 1) % 4)
             << "m=" << m;
     }
@@ -284,7 +286,9 @@ TEST_F(FunctionalXpuFixture, BatchSharesBskAcrossRows)
     const auto accs = xpu.runBlindRotateBatch(tp, batch);
     ASSERT_EQ(accs.size(), 4u);
     for (std::size_t i = 0; i < accs.size(); ++i) {
-        const auto out = keys().ksk.apply(accs[i].sampleExtract());
+        LweCiphertext extracted, out;
+        accs[i].sampleExtractAtInto(0, extracted);
+        keys().ksk.applyInto(extracted, out);
         EXPECT_EQ(decryptPadded(keys(), out, space), messages[i]);
     }
 }

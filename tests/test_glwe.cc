@@ -119,7 +119,8 @@ TEST_F(GlweFixture, SampleExtractRecoversConstantCoefficient)
         const auto message = randomMessage(8);
         const auto ct = GlweCiphertext::encrypt(
             key, message, params.glweNoiseStd, rng);
-        const auto lwe = ct.sampleExtract();
+        LweCiphertext lwe;
+        ct.sampleExtractAtInto(0, lwe);
         EXPECT_EQ(lwe.dimension(), extracted_key.dimension());
         EXPECT_EQ(lweDecrypt(extracted_key, lwe, 8),
                   decodeMessage(message[0], 8));
@@ -138,7 +139,9 @@ TEST_F(GlweFixture, SampleExtractOfRotatedCiphertext)
     const unsigned j = 13;
     const auto rotated =
         ct.mulByXPower(2 * params.polyDegree - j);
-    EXPECT_EQ(lweDecrypt(extracted_key, rotated.sampleExtract(), 8),
+    LweCiphertext lwe;
+    rotated.sampleExtractAtInto(0, lwe);
+    EXPECT_EQ(lweDecrypt(extracted_key, lwe, 8),
               decodeMessage(message[j], 8));
 }
 

@@ -51,7 +51,8 @@ TEST_F(MultiLutFixture, SampleExtractAtRecoversEveryCoefficient)
     const auto extracted_key = keys().glweKey.extractLweKey();
 
     for (unsigned index : {0u, 1u, 17u, params.polyDegree - 1}) {
-        const auto lwe = ct.sampleExtractAt(index);
+        LweCiphertext lwe;
+        ct.sampleExtractAtInto(index, lwe);
         EXPECT_EQ(lweDecrypt(extracted_key, lwe, 8),
                   decodeMessage(message[index], 8))
             << "index " << index;

@@ -69,11 +69,13 @@ TEST_P(ParamSweep, ExtractThenSwitchPreservesMessage)
 
     const auto glwe_ct = GlweCiphertext::encrypt(
         glwe_key, message, params().glweNoiseStd, rng);
-    const auto lwe_under_extracted = glwe_ct.sampleExtract();
+    LweCiphertext lwe_under_extracted;
+    glwe_ct.sampleExtractAtInto(0, lwe_under_extracted);
     EXPECT_EQ(lweDecrypt(extracted, lwe_under_extracted, space), m0)
         << params().name;
 
-    const auto switched = ksk.apply(lwe_under_extracted);
+    LweCiphertext switched;
+    ksk.applyInto(lwe_under_extracted, switched);
     EXPECT_EQ(switched.dimension(), params().lweDimension);
     EXPECT_EQ(lweDecrypt(lwe_key, switched, space), m0)
         << params().name;

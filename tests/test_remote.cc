@@ -531,6 +531,36 @@ TEST_F(RemoteFixture, UnknownKeyWithoutAutoEnrollIsTyped)
     server->stop();
 }
 
+TEST_F(RemoteFixture, WrongDimensionInputRejectedTyped)
+{
+    // A client ciphertext of the wrong LWE dimension is rejected with a
+    // typed error before execution, and the server keeps serving.
+    auto server = startServer();
+    auto inputs = encryptBatch(4);
+    inputs[2] = tfhe::LweCiphertext(keys().params.lweDimension + 1);
+    const auto lut = tfhe::makePaddedLut(4, [](std::uint32_t m) {
+        return m;
+    });
+    const auto program =
+        compiler::SwScheduler(keys().params).scheduleBootstrapBatch(4);
+    RemoteBackend remote(evalKeys(), clientConfig(server->port()));
+    try {
+        remote.run(program, Job::batch(inputs, lut));
+        FAIL() << "wrong-dimension input should be rejected";
+    } catch (const RemoteError &e) {
+        EXPECT_EQ(e.kind(), RemoteErrorKind::kBadProgram) << e.what();
+    }
+    EXPECT_EQ(server->stats().executions, 0u);
+
+    const auto good = encryptBatch(4);
+    const auto result = remote.run(program, Job::batch(good, lut));
+    ASSERT_EQ(result.outputs.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(tfhe::decryptPadded(keys(), result.outputs[i], 4),
+                  i % 4);
+    server->stop();
+}
+
 TEST_F(RemoteFixture, ShardedInnerBackendMatchesLocalSharded)
 {
     RemoteServerConfig sconfig;

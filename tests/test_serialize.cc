@@ -2,15 +2,17 @@
  * @file
  * Tests of binary serialization: round trips for parameters, keys and
  * ciphertexts; the client/server split (server bootstraps with
- * evaluation keys only); and strict rejection of malformed streams
- * (death tests).
+ * evaluation keys only, and a KeySet puts only its evaluation half on
+ * the wire); and strict rejection of malformed streams (death tests).
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
 
 #include "common/rng.h"
+#include "tfhe/bootstrap.h"
 #include "tfhe/encoding.h"
 #include "tfhe/serialize.h"
 
@@ -92,7 +94,7 @@ TEST_F(SerializeFixture, ClientServerSplit)
     const auto lut = makePaddedLut(4, [](std::uint32_t m) {
         return (m + 1) % 4;
     });
-    const auto result = serverBootstrap(server_keys, server_ct, lut);
+    const auto result = programmableBootstrap(server_keys, server_ct, lut);
 
     // Client: decrypts the response.
     EXPECT_EQ(decryptPadded(keys(), result, 4), 3u);
@@ -109,7 +111,7 @@ TEST_F(SerializeFixture, ServerBootstrapMatchesLocal)
     });
     for (std::uint32_t m = 0; m < 4; ++m) {
         const auto ct = encryptPadded(keys(), m, 4, rng);
-        const auto remote = serverBootstrap(server_keys, ct, lut);
+        const auto remote = programmableBootstrap(server_keys, ct, lut);
         const auto local = programmableBootstrap(keys(), ct, lut);
         // Same keys, same input: bit-identical outputs.
         EXPECT_EQ(remote.raw(), local.raw()) << m;
@@ -162,6 +164,37 @@ TEST_F(SerializeFixture, FingerprintDistinguishesKeys)
     std::stringstream mutated(bytes);
     const EvaluationKeys reloaded = loadEvaluationKeys(mutated);
     EXPECT_NE(fingerprintEvaluationKeys(reloaded), fp);
+}
+
+// A KeySet is its evaluation keys plus the secret keys, so it binds to
+// every server-side entry point without a conversion.
+static_assert(std::is_base_of_v<EvaluationKeys, KeySet>);
+
+TEST_F(SerializeFixture, KeySetSerializesOnlyItsEvaluationKeys)
+{
+    // Saving a KeySet writes exactly the bytes of its evaluation half:
+    // no secret key reaches the wire.
+    const EvaluationKeys eval = EvaluationKeys::fromKeySet(keys());
+    std::stringstream from_keyset, from_eval;
+    saveEvaluationKeys(from_keyset, keys());
+    saveEvaluationKeys(from_eval, eval);
+    EXPECT_EQ(from_keyset.str(), from_eval.str());
+    EXPECT_EQ(fingerprintEvaluationKeys(keys()),
+              fingerprintEvaluationKeys(eval));
+}
+
+TEST_F(SerializeFixture, SeededKeyGenerationMatchesGolden)
+{
+    // Goldens of two seeded key ceremonies (equal on the scalar, AVX2
+    // and AVX-512 FFT tiers). The BSK and KSK encrypt every secret-key
+    // bit, so these fingerprints pin the order in which
+    // KeySet::generate consumes the RNG.
+    EXPECT_EQ(fingerprintHex(fingerprintEvaluationKeys(keys())),
+              "6a741fe569067254");
+    Rng other_rng(0x6E7);
+    const KeySet other = KeySet::generate(paramsTest(), other_rng);
+    EXPECT_EQ(fingerprintHex(fingerprintEvaluationKeys(other)),
+              "1f95243b00e11a7b");
 }
 
 TEST_F(SerializeFixture, RejectsBadMagic)

@@ -347,6 +347,41 @@ TEST_F(ServiceFixture, ShardedFunctionalBackendEndToEnd)
     }
 }
 
+TEST_F(ServiceFixture, MalformedRequestThrowsAndServiceKeepsServing)
+{
+    // A ciphertext of the wrong dimension and an unknown LUT id are
+    // client errors: they throw at the door instead of aborting the
+    // process on a worker thread, which would also take down every
+    // other request of the superbatch.
+    ServiceConfig config;
+    config.superbatchSize = 4;
+    config.maxWait = 2ms;
+    config.numWorkers = 1;
+    BootstrapService service(keys(), config);
+    const LutId lut = service.registerLut(
+        tfhe::makePaddedLut(kSpace, [](std::uint32_t m) {
+            return (m + 1) % kSpace;
+        }));
+    auto before = service.submit(encrypt(1), lut);
+
+    const LweCiphertext wrong_dim(keys().params.lweDimension + 1);
+    EXPECT_THROW((void)service.submit(wrong_dim, lut),
+                 std::invalid_argument);
+    EXPECT_THROW((void)service.trySubmit(wrong_dim, lut),
+                 std::invalid_argument);
+    EXPECT_THROW((void)service.submit(encrypt(1), lut + 1),
+                 std::invalid_argument);
+    EXPECT_THROW((void)service.trySubmit(encrypt(1), lut + 1),
+                 std::invalid_argument);
+    EXPECT_EQ(service.stats().accepted, 1u);
+
+    auto after = service.submit(encrypt(2), lut);
+    expectReady(before);
+    expectReady(after);
+    EXPECT_EQ(decrypt(before.get()), 2u);
+    EXPECT_EQ(decrypt(after.get()), 3u);
+}
+
 TEST(ServiceConfigValidate, AcceptsRunnableConfigs)
 {
     EXPECT_EQ(ServiceConfig{}.validate(), std::nullopt);

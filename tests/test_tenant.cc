@@ -14,7 +14,8 @@
  *    blocks until refill, and a circuit costing more than the bucket
  *    depth is admitted against a full bucket (negative balance)
  *    instead of blocking forever;
- *  - malformed circuits: a wrong input count throws before the
+ *  - malformed requests: a wrong circuit input count, a ciphertext of
+ *    the wrong dimension or an unknown LUT id throws before the
  *    tenant's bucket is charged, and other tenants keep getting
  *    correct results;
  *  - key rotation: re-adding a tenant with different keys drains and
@@ -433,6 +434,49 @@ TEST_F(TenantFixture, WrongArityCircuitThrowsWithoutChargingBucket)
                 << bx << by;
         }
     }
+    ASSERT_EQ(f->wait_for(60s), std::future_status::ready);
+    EXPECT_EQ(tfhe::decryptPadded(keysA(), f->get(), kSpace), 2u);
+}
+
+TEST_F(TenantFixture, MalformedRequestThrowsWithoutChargingBucket)
+{
+    telemetry::MetricsRegistry metrics;
+    MultiTenantConfig config;
+    config.service = smallService();
+    config.metrics = &metrics;
+    MultiTenantService front(config);
+
+    // One token and a refill too slow to matter within the test: any
+    // charged rejection would bounce the fail-fast submission below.
+    TenantQuota quota;
+    quota.ratePerSec = 0.01;
+    quota.burst = 1;
+    front.addTenant("mallory", evalA(), quota);
+    const LutId lut = front.registerLut("mallory", plusOneLut());
+
+    const LweCiphertext wrong_dim(tfhe::paramsTest().lweDimension + 1);
+    EXPECT_THROW((void)front.submit("mallory", wrong_dim, lut),
+                 std::invalid_argument);
+    EXPECT_THROW((void)front.trySubmit("mallory", wrong_dim, lut),
+                 std::invalid_argument);
+    EXPECT_THROW((void)front.submit("mallory", encryptA(1), lut + 1),
+                 std::invalid_argument);
+    EXPECT_THROW((void)front.trySubmit("mallory", encryptA(1), lut + 1),
+                 std::invalid_argument);
+
+    circuit::Circuit c;
+    const auto x = c.bitInput();
+    const auto y = c.bitInput();
+    c.markOutput(c.gate(tfhe::BoolGate::And, x, y));
+    EXPECT_THROW(
+        (void)front.submitCircuit(
+            "mallory", c, {tfhe::encryptBit(keysA(), true, rng), wrong_dim}),
+        std::invalid_argument);
+
+    EXPECT_EQ(front.stats("mallory").submitted, 0u);
+    auto f = front.trySubmit("mallory", encryptA(1), lut);
+    ASSERT_TRUE(f.has_value()) << "a rejected request drew tokens";
+    EXPECT_EQ(front.stats("mallory").throttled, 0u);
     ASSERT_EQ(f->wait_for(60s), std::future_status::ready);
     EXPECT_EQ(tfhe::decryptPadded(keysA(), f->get(), kSpace), 2u);
 }
